@@ -3,15 +3,18 @@
 // Events at equal timestamps fire in scheduling order (FIFO tie-break via a
 // monotone sequence number) so runs are deterministic.
 //
-// The hot path is allocation-lean: callbacks live in a slab of pooled slots
+// The hot path is allocation-free: callbacks live in a slab of pooled slots
 // (recycled through a free list, addressed by generation-counted handles) and
-// the priority queue orders small POD entries that point into the slab.
-// Scheduling or cancelling an event allocates nothing once the slab and the
-// queue have warmed up; callables that fit event_fn's inline buffer never
-// touch the allocator at all.
+// the priority queue orders small POD entries that point into the slab. A
+// callable is constructed in its slot when scheduled and invoked and
+// destroyed there when it fires; it is never moved. Scheduling, firing or
+// cancelling an event allocates nothing once the slab and the queue have
+// warmed up, as long as the callable fits event_fn's inline buffer.
 //
-// The queue is a 4-ary min-heap of those entries: O(log n) schedule/pop (see
-// docs/performance.md for why no O(1) structure replaces it).
+// The queue is a 4-ary min-heap of 16-byte entries laid out so that a node's
+// four children share one cache line: O(log n) schedule/pop (see
+// docs/performance.md for the layout and for why no O(1) structure replaces
+// it).
 #ifndef MCC_SIM_SCHEDULER_H
 #define MCC_SIM_SCHEDULER_H
 
@@ -29,25 +32,27 @@
 
 namespace mcc::sim {
 
-/// Move-only type-erased `void()` callable with inline small-buffer storage.
-/// Callables up to `inline_size` bytes are stored in place; larger ones fall
-/// back to one heap allocation. Simulator-internal events (link timers,
-/// protocol slot ticks) capture a pointer and a few scalars and stay inline.
+/// Type-erased `void()` callable with inline small-buffer storage, built and
+/// run in place: the scheduler constructs it in its slab slot (`emplace`),
+/// invokes it there and destroys it there, so it is never moved. Callables
+/// up to `inline_size` bytes are stored in place; larger ones fall back to
+/// one heap allocation. Simulator-internal events (link timers, protocol slot
+/// ticks) capture a pointer and a few scalars and stay inline.
 class event_fn {
  public:
   static constexpr std::size_t inline_size = 48;
 
   event_fn() = default;
+  event_fn(const event_fn&) = delete;
+  event_fn& operator=(const event_fn&) = delete;
+  ~event_fn() { reset(); }
 
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, event_fn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  event_fn(F&& f) {  // NOLINT(google-explicit-constructor)
+  /// Constructs `f`'s decayed copy in place. The event_fn must be empty.
+  template <typename F>
+  void emplace(F&& f) {
     using D = std::decay_t<F>;
     if constexpr (sizeof(D) <= inline_size &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
+                  alignof(D) <= alignof(std::max_align_t)) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       ops_ = inline_ops<D>();
     } else {
@@ -55,18 +60,6 @@ class event_fn {
       ops_ = heap_ops<D>();
     }
   }
-
-  event_fn(event_fn&& other) noexcept { move_from(other); }
-  event_fn& operator=(event_fn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
-  event_fn(const event_fn&) = delete;
-  event_fn& operator=(const event_fn&) = delete;
-  ~event_fn() { reset(); }
 
   void operator()() { ops_->invoke(buf_); }
   [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
@@ -81,7 +74,6 @@ class event_fn {
  private:
   struct vtable {
     void (*invoke)(void*);
-    void (*relocate)(void* dst, void* src);  // move-construct dst, destroy src
     void (*destroy)(void*);
   };
 
@@ -89,11 +81,6 @@ class event_fn {
   static const vtable* inline_ops() {
     static constexpr vtable t{
         [](void* b) { (*std::launder(reinterpret_cast<D*>(b)))(); },
-        [](void* dst, void* src) {
-          D* s = std::launder(reinterpret_cast<D*>(src));
-          ::new (dst) D(std::move(*s));
-          s->~D();
-        },
         [](void* b) { std::launder(reinterpret_cast<D*>(b))->~D(); }};
     return &t;
   }
@@ -102,19 +89,8 @@ class event_fn {
   static const vtable* heap_ops() {
     static constexpr vtable t{
         [](void* b) { (**std::launder(reinterpret_cast<D**>(b)))(); },
-        [](void* dst, void* src) {
-          ::new (dst) D*(*std::launder(reinterpret_cast<D**>(src)));
-        },
         [](void* b) { delete *std::launder(reinterpret_cast<D**>(b)); }};
     return &t;
-  }
-
-  void move_from(event_fn& other) {
-    ops_ = other.ops_;
-    if (ops_ != nullptr) {
-      ops_->relocate(buf_, other.buf_);
-      other.ops_ = nullptr;
-    }
   }
 
   alignas(std::max_align_t) unsigned char buf_[inline_size];
@@ -123,20 +99,53 @@ class event_fn {
 
 namespace detail {
 
+/// Heap entries carry a slot index in this many bits.
+inline constexpr unsigned slot_bits = 24;
+
 /// One slab slot: the callable plus the generation counter that invalidates
-/// stale handles when the slot is recycled.
+/// stale handles when the slot is recycled. A pending slot whose callable is
+/// empty was cancelled.
 struct event_slot {
   std::uint32_t gen = 0;
-  bool cancelled = false;
   event_fn fn;
 };
 
-/// The slab. Handles hold a weak_ptr to it so they stay safe (inert) after
-/// the owning scheduler is destroyed; the weak_ptr copy is a refcount bump,
-/// not an allocation — the control block is one per scheduler, not per event.
+/// The slab: fixed-size chunks of slots, so a slot's address never changes
+/// while the slab grows (a running callable lives in its slot and may
+/// schedule events that add chunks). Handles hold a weak_ptr to it so they
+/// stay safe (inert) after the owning scheduler is destroyed; the weak_ptr
+/// copy is a refcount bump, not an allocation — the control block is one per
+/// scheduler, not per event.
 struct event_pool {
-  std::vector<event_slot> slots;
+  static constexpr std::uint32_t chunk_bits = 8;
+  static constexpr std::uint32_t chunk_slots = 1u << chunk_bits;
+
+  std::vector<std::unique_ptr<event_slot[]>> chunks;
+  /// Free slot indices. Its capacity always covers every slot, so pushing a
+  /// recycled slot back never allocates.
   std::vector<std::uint32_t> free_list;
+
+  event_slot& operator[](std::uint32_t i) {
+    return chunks[i >> chunk_bits][i & (chunk_slots - 1)];
+  }
+
+  /// Index of a free slot. It stays on the free list until the caller has
+  /// built its callable (pop_free), so a throwing constructor leaks nothing.
+  std::uint32_t next_free() {
+    if (free_list.empty()) grow();
+    return free_list.back();
+  }
+  void pop_free() { free_list.pop_back(); }
+
+  void grow() {
+    const auto base = static_cast<std::uint32_t>(chunks.size() * chunk_slots);
+    util::require(base + chunk_slots <= (1u << slot_bits),
+                  "scheduler: more than 2^24 slab slots");
+    chunks.push_back(std::make_unique<event_slot[]>(chunk_slots));
+    free_list.reserve(base + chunk_slots);
+    // Lowest index on top, so slots are handed out in address order.
+    for (std::uint32_t i = chunk_slots; i-- > 0;) free_list.push_back(base + i);
+  }
 };
 
 }  // namespace detail
@@ -150,13 +159,10 @@ class event_handle {
   /// Cancels the event if it has not fired yet. Idempotent.
   void cancel() {
     if (auto p = pool_.lock()) {
-      detail::event_slot& s = p->slots[slot_];
-      if (s.gen == gen_) {
-        s.cancelled = true;
-        // Free the captured state now rather than when the dead entry is
-        // eventually popped at its deadline.
-        s.fn.reset();
-      }
+      detail::event_slot& s = (*p)[slot_];
+      // Free the captured state now rather than when the dead entry is
+      // eventually popped at its deadline.
+      if (s.gen == gen_) s.fn.reset();
     }
     pool_.reset();
   }
@@ -165,8 +171,8 @@ class event_handle {
   [[nodiscard]] bool pending() const {
     auto p = pool_.lock();
     if (p == nullptr) return false;
-    const detail::event_slot& s = p->slots[slot_];
-    return s.gen == gen_ && !s.cancelled;
+    const detail::event_slot& s = (*p)[slot_];
+    return s.gen == gen_ && s.fn;
   }
 
  private:
@@ -184,8 +190,6 @@ class event_handle {
 class scheduler {
  public:
   scheduler() : pool_(std::make_shared<detail::event_pool>()) {
-    pool_->slots.reserve(1024);
-    pool_->free_list.reserve(1024);
     heap_.reserve(1024);
   }
   scheduler(const scheduler&) = delete;
@@ -193,94 +197,120 @@ class scheduler {
 
   [[nodiscard]] time_ns now() const { return now_; }
 
-  /// Schedules `fn` at absolute time `at` (must not be in the past).
-  event_handle at(time_ns when, event_fn fn) {
+  /// Schedules `fn` at absolute time `at` (must not be in the past). The
+  /// callable is constructed directly in its slab slot.
+  template <typename F>
+    requires std::is_invocable_r_v<void, std::decay_t<F>&>
+  event_handle at(time_ns when, F&& fn) {
     util::require(when >= now_, "scheduler: event scheduled in the past");
-    std::uint32_t idx;
-    if (!pool_->free_list.empty()) {
-      idx = pool_->free_list.back();
-      pool_->free_list.pop_back();
-    } else {
-      idx = static_cast<std::uint32_t>(pool_->slots.size());
-      pool_->slots.emplace_back();
-    }
-    detail::event_slot& slot = pool_->slots[idx];
-    slot.cancelled = false;
-    slot.fn = std::move(fn);
-    heap_push(entry{when, next_seq_++, idx});
-    if (heap_.size() > max_pending_) max_pending_ = heap_.size();
+    detail::event_pool& pool = *pool_;
+    const std::uint32_t idx = pool.next_free();
+    detail::event_slot& slot = pool[idx];
+    slot.fn.emplace(std::forward<F>(fn));
+    pool.pop_free();
+    util::require(next_seq_ < (std::uint64_t{1} << (64 - slot_bits)),
+                  "scheduler: sequence numbers exhausted");
+    heap_push(entry{static_cast<std::uint64_t>(when),
+                    next_seq_++ << slot_bits | idx});
+    if (pending_events() > max_pending_) max_pending_ = pending_events();
     return event_handle(pool_, idx, slot.gen);
   }
 
   /// Schedules `fn` after a relative delay.
-  event_handle after(time_ns delay, event_fn fn) {
-    return at(now_ + delay, std::move(fn));
+  template <typename F>
+    requires std::is_invocable_r_v<void, std::decay_t<F>&>
+  event_handle after(time_ns delay, F&& fn) {
+    return at(now_ + delay, std::forward<F>(fn));
   }
 
   /// Runs events until the queue drains or simulated time would pass `until`.
   /// Leaves now() == until when the horizon is reached.
   void run_until(time_ns until) {
     entry top;
-    while (pop_next(until, top)) {
-      event_fn fn = release_slot(top.slot);
-      if (!fn) continue;  // cancelled
-      now_ = top.when;
-      executed_++;
-      fn();
-    }
+    while (pop_next(until, top)) fire(top);
     if (now_ < until) now_ = until;
   }
 
   /// Runs until the queue is empty.
   void run() {
     entry top;
-    while (pop_next(std::numeric_limits<time_ns>::max(), top)) {
-      event_fn fn = release_slot(top.slot);
-      if (!fn) continue;  // cancelled
-      now_ = top.when;
-      executed_++;
-      fn();
-    }
+    while (pop_next(std::numeric_limits<time_ns>::max(), top)) fire(top);
   }
 
   /// Pending entries, cancelled-but-not-yet-reaped ones included.
-  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
+  [[nodiscard]] std::size_t pending_events() const {
+    return heap_.size() - root;
+  }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
   /// High-watermark of pending_events() over the run (sampled at schedule
   /// time — the only place the count grows).
   [[nodiscard]] std::size_t max_pending_events() const { return max_pending_; }
-  /// Slab-pool high-water mark: slots are recycled through a free list and
-  /// never shrink, so the slab size is the peak distinct-pending footprint.
-  [[nodiscard]] std::size_t slots_high_water() const {
-    return pool_->slots.size();
-  }
+  /// Slab high-water mark: the peak count of live slots, with a running
+  /// event's slot counted as free. Every pending entry holds exactly one
+  /// slot, so this is max_pending_events(); the slab itself can hold one
+  /// slot more (the running one) plus the unused rest of its last chunk.
+  [[nodiscard]] std::size_t slots_high_water() const { return max_pending_; }
 
  private:
+  /// A heap entry: 16 bytes, so the four children of a node fill exactly
+  /// one 64-byte cache line. `key` packs the FIFO sequence number above the
+  /// slab slot; comparing (when, key) as one unsigned 128-bit number is the
+  /// exact (when, seq) order, since seqs are unique.
   struct entry {
-    time_ns when;
-    std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint64_t when;  // a time_ns; never negative (at() requires >= now_)
+    std::uint64_t key;   // seq << slot_bits | slot
   };
-  static bool before(const entry& a, const entry& b) {
-    return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+  static constexpr unsigned slot_bits = detail::slot_bits;
+  __extension__ typedef unsigned __int128 rank_t;
+  static rank_t rank(const entry& e) {
+    return (static_cast<rank_t>(e.when) << 64) | e.key;
   }
+  static bool before(const entry& a, const entry& b) {
+    return rank(a) < rank(b);
+  }
+  static std::uint32_t slot_of(const entry& e) {
+    return static_cast<std::uint32_t>(e.key & ((1u << slot_bits) - 1));
+  }
+
+  /// Allocates the heap array on 64-byte boundaries.
+  template <typename T>
+  struct line_allocator {
+    using value_type = T;
+    line_allocator() = default;
+    template <typename U>
+    explicit line_allocator(const line_allocator<U>&) {}
+    T* allocate(std::size_t n) {
+      return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{64}));
+    }
+    void deallocate(T* p, std::size_t) {
+      ::operator delete(p, std::align_val_t{64});
+    }
+    friend bool operator==(const line_allocator&, const line_allocator&) {
+      return true;
+    }
+  };
+
+  // 4-ary min-heap, rooted at index 3 of a 64-byte-aligned array (indices
+  // 0..2 are padding): node j's children are 4j-8 .. 4j-5, a multiple of 4,
+  // so the four sit in one cache line. Hole-based sifting (no swaps).
+  static constexpr std::size_t root = 3;
 
   /// Pops the globally least (when, seq) entry with when <= limit into `out`;
   /// false when nothing that early is pending.
   bool pop_next(time_ns limit, entry& out) {
-    if (heap_.empty() || heap_.front().when > limit) return false;
+    if (heap_.size() == root ||
+        static_cast<time_ns>(heap_[root].when) > limit) {
+      return false;
+    }
     out = heap_pop();
     return true;
   }
 
-  // 4-ary min-heap of small POD entries: half the sift depth of a binary
-  // heap and hole-based sifting (no swaps), which is what makes large
-  // pending sets cheap.
   void heap_push(entry e) {
     std::size_t i = heap_.size();
     heap_.push_back(e);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
+    while (i > root) {
+      const std::size_t parent = (i + 8) / 4;
       if (!before(e, heap_[parent])) break;
       heap_[i] = heap_[parent];
       i = parent;
@@ -289,50 +319,68 @@ class scheduler {
   }
 
   entry heap_pop() {
-    const entry top = heap_.front();
+    entry* h = heap_.data();
+    const entry top = h[root];
     const entry last = heap_.back();
     heap_.pop_back();
-    if (!heap_.empty()) {
-      const std::size_t n = heap_.size();
-      std::size_t i = 0;
-      for (;;) {
-        const std::size_t first_child = 4 * i + 1;
-        if (first_child >= n) break;
-        std::size_t best = first_child;
-        const std::size_t end = first_child + 4 < n ? first_child + 4 : n;
-        for (std::size_t c = first_child + 1; c < end; ++c) {
-          if (before(heap_[c], heap_[best])) best = c;
+    const std::size_t n = heap_.size();
+    if (n == root) return top;
+    std::size_t i = root;
+    for (;;) {
+      const std::size_t c = 4 * i - 8;
+      if (c >= n) break;
+      std::size_t best;
+      if (c + 4 <= n) {  // all four children: pick without branches
+        const std::size_t lo = c + before(h[c + 1], h[c]);
+        const std::size_t hi = c + 2 + before(h[c + 3], h[c + 2]);
+        best = before(h[hi], h[lo]) ? hi : lo;
+      } else {
+        best = c;
+        for (std::size_t k = c + 1; k < n; ++k) {
+          if (before(h[k], h[best])) best = k;
         }
-        if (!before(heap_[best], last)) break;
-        heap_[i] = heap_[best];
-        i = best;
       }
-      heap_[i] = last;
+      if (!before(h[best], last)) break;
+      h[i] = h[best];
+      i = best;
     }
+    h[i] = last;
     return top;
   }
 
-  /// Takes the callable out of a popped slot and recycles the slot (bumping
-  /// its generation so stale handles go inert). Returns an empty event_fn if
-  /// the event was cancelled. The slot is recycled *before* the callable
-  /// runs, so callbacks may freely schedule new events.
-  event_fn release_slot(std::uint32_t idx) {
-    detail::event_slot& slot = pool_->slots[idx];
-    event_fn fn;
-    if (!slot.cancelled) fn = std::move(slot.fn);
-    slot.fn.reset();
-    slot.cancelled = false;
+  /// Runs a popped event's callable in place in its slot, then destroys it
+  /// and recycles the slot — also when the callable throws. The generation
+  /// is bumped first, so the event's own handle already reads as not pending
+  /// inside the callback.
+  void fire(const entry& top) {
+    detail::event_pool& pool = *pool_;
+    const std::uint32_t idx = slot_of(top);
+    detail::event_slot& slot = pool[idx];
     ++slot.gen;
-    pool_->free_list.push_back(idx);
-    return fn;
+    const slot_recycler recycle{pool, idx};
+    if (!slot.fn) return;  // cancelled
+    now_ = static_cast<time_ns>(top.when);
+    executed_++;
+    slot.fn();
   }
+
+  struct slot_recycler {
+    detail::event_pool& pool;
+    std::uint32_t idx;
+    ~slot_recycler() {
+      detail::event_slot& slot = pool[idx];
+      slot.fn.reset();
+      pool.free_list.push_back(idx);  // capacity reserved by grow()
+    }
+  };
 
   time_ns now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t max_pending_ = 0;  // high-water mark of pending_events()
   std::shared_ptr<detail::event_pool> pool_;
-  std::vector<entry> heap_;
+  std::vector<entry, line_allocator<entry>> heap_ =
+      std::vector<entry, line_allocator<entry>>(root);
 };
 
 }  // namespace mcc::sim

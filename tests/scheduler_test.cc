@@ -6,6 +6,8 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "crypto/prng.h"
@@ -219,6 +221,102 @@ TEST(scheduler, cascading_chain_terminates_at_horizon) {
   s.at(0, tick);
   s.run_until(milliseconds(95));
   EXPECT_EQ(count, 10);  // t = 0, 10, ..., 90
+}
+
+// --- in-place invocation ----------------------------------------------------
+// A callable is built in its slab slot, runs there and is destroyed there;
+// the slot returns to the free list only after the call.
+
+TEST(scheduler, throwing_callback_leaves_scheduler_consistent) {
+  scheduler s;
+  auto captured = std::make_shared<int>(0);
+  std::vector<int> order;
+  event_handle thrower = s.at(milliseconds(10), [captured] {
+    throw std::runtime_error("callback failed");
+  });
+  s.at(milliseconds(20), [&] { order.push_back(2); });
+  s.at(milliseconds(30), [&] { order.push_back(3); });
+  EXPECT_EQ(captured.use_count(), 2);
+  EXPECT_THROW(s.run(), std::runtime_error);
+
+  // The failed event fired (clock moved, count taken), its callable was
+  // destroyed and its handle is inert; the other two are still pending.
+  EXPECT_EQ(s.now(), milliseconds(10));
+  EXPECT_EQ(s.executed_events(), 1u);
+  EXPECT_EQ(captured.use_count(), 1);
+  EXPECT_FALSE(thrower.pending());
+  EXPECT_EQ(s.pending_events(), 2u);
+
+  // The recycled slot is handed out again and everything still fires.
+  s.at(milliseconds(25), [&] { order.push_back(25); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 25, 3}));
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_EQ(s.executed_events(), 4u);
+  EXPECT_EQ(s.slots_high_water(), 3u);
+}
+
+TEST(scheduler, callback_cancelling_its_own_handle_does_nothing) {
+  scheduler s;
+  int fired = 0;
+  int after_cancel = 0;
+  event_handle self;
+  self = s.at(milliseconds(5), [&] {
+    ++fired;
+    EXPECT_FALSE(self.pending());  // a running event is no longer pending
+    self.cancel();
+    ++after_cancel;  // the callable is still alive after the cancel
+  });
+  event_handle next = s.at(milliseconds(6), [&] { ++fired; });
+  s.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(after_cancel, 1);
+  EXPECT_FALSE(next.pending());
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
+TEST(scheduler, callback_growing_the_slab_by_many_chunks_runs_cleanly) {
+  // The running callable lives in its slab slot while it schedules enough
+  // events to add many chunks; its captures must stay valid throughout (the
+  // sanitizer build catches a dangling read here).
+  scheduler s;
+  std::vector<int> seen;
+  const std::vector<int> payload = {1, 2, 3};
+  s.at(milliseconds(1), [&s, &seen, payload] {
+    for (int i = 0; i < 5000; ++i) {
+      s.at(milliseconds(2), [&seen, i] { seen.push_back(i); });
+      ASSERT_EQ(payload.size(), 3u);
+    }
+    seen.push_back(-payload[2]);
+  });
+  s.run();
+  ASSERT_EQ(seen.size(), 5001u);
+  EXPECT_EQ(seen.front(), -3);
+  for (int i = 0; i < 5000; ++i) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(i) + 1], i);
+  }
+  EXPECT_EQ(s.slots_high_water(), 5000u);
+}
+
+TEST(scheduler, slots_high_water_counts_the_running_slot_as_free) {
+  // One event that schedules one event from inside its callback: the nested
+  // event is the only live slot while the first one runs.
+  scheduler s;
+  s.at(milliseconds(1), [&s] { s.after(milliseconds(1), [] {}); });
+  s.run();
+  EXPECT_EQ(s.slots_high_water(), 1u);
+  EXPECT_EQ(s.max_pending_events(), 1u);
+
+  // Two pending at once, and one of them schedules two more while it runs:
+  // the peak is the running event's sibling plus the two it scheduled.
+  scheduler t;
+  t.at(milliseconds(1), [&t] {
+    t.after(milliseconds(5), [] {});
+    t.after(milliseconds(5), [] {});
+  });
+  t.at(milliseconds(2), [] {});
+  t.run();
+  EXPECT_EQ(t.slots_high_water(), 3u);
 }
 
 /// One scheduled event as the oracle sees it: deadline and cancellation.
