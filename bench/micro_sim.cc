@@ -1,7 +1,7 @@
 // Microbenchmarks for the simulator substrate: event scheduling throughput
-// (events/sec), multicast fan-out cost (packets/sec), and whole-scenario
-// figures. items_per_second in the output is the headline number for the
-// first two.
+// (events/sec), multicast fan-out cost and unicast packet hops (packets/sec),
+// and whole-scenario figures. items_per_second in the output is the headline
+// number for all but the whole-scenario ones.
 #include <benchmark/benchmark.h>
 
 #include "adversary/adversary.h"
@@ -132,6 +132,62 @@ static void bm_multicast_fanout(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch * receivers);
 }
 BENCHMARK(bm_multicast_fanout)->Arg(4)->Arg(32)->Arg(256);
+
+namespace {
+/// Counts the packets delivered to its host without keeping them.
+struct counting_sink : sim::agent {
+  bool handle_packet(const sim::packet&, sim::link*) override {
+    ++received;
+    return true;
+  }
+  std::uint64_t received = 0;
+};
+}  // namespace
+
+static void bm_link_hop(benchmark::State& state) {
+  // Packet hop throughput: unicast packets from a host through a router to
+  // another host (two links, one router forward) while the first link holds
+  // a standing queue of `depth` packets. Each iteration offers a batch and
+  // runs for exactly the batch's serialization time, so the queue neither
+  // drains nor grows.
+  const auto depth = static_cast<int>(state.range(0));
+  sim::scheduler s;
+  sim::network net(s);
+  const sim::node_id src = net.add_host("src");
+  const sim::node_id rtr = net.add_router("rtr");
+  const sim::node_id dst = net.add_host("dst");
+  sim::link_config cfg;
+  cfg.bps = 100e6;
+  cfg.delay = sim::microseconds(500);
+  cfg.queue_capacity_bytes = 1 << 24;
+  net.connect(src, rtr, cfg);
+  net.connect(rtr, dst, cfg);
+  net.finalize_routing();
+  counting_sink sink;
+  net.get(dst)->add_agent(&sink);
+
+  constexpr int kBatch = 64;
+  constexpr int kSize = 576;
+  const auto offer = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      sim::packet p;
+      p.size_bytes = kSize;
+      p.dst = sim::dest::to_node(dst);
+      p.hdr = sim::cbr_payload{1, i};
+      net.get(src)->send(std::move(p));
+    }
+  };
+  const sim::time_ns batch_time = kBatch * sim::transmission_time(kSize, cfg.bps);
+  offer(depth);
+  for (auto _ : state) {
+    offer(kBatch);
+    s.run_until(s.now() + batch_time);
+  }
+  benchmark::DoNotOptimize(sink.received);
+  // One item = one packet through both hops.
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(bm_link_hop)->Arg(16)->Arg(1024);
 
 static void bm_tcp_over_dumbbell(benchmark::State& state) {
   // Cost of simulating one second of a saturated 10 Mbps TCP transfer.

@@ -43,8 +43,7 @@ double link::time_avg_queued_bytes(time_ns now) const {
   return integral / static_cast<double>(now);
 }
 
-void link::transmit(packet p) {
-  const time_ns now = sched_.now();
+aqm_decision link::admit(const packet& p, time_ns now) {
   const aqm_queue_view view{queued_bytes_, cfg_.queue_capacity_bytes};
   // Physical backstop for every policy: a packet never enters a queue beyond
   // capacity. Policies shape behaviour below this limit but still observe
@@ -57,30 +56,43 @@ void link::transmit(packet p) {
       trace_->record(now, obs::trace_event::packet_drop, trace_track_,
                      static_cast<std::uint64_t>(p.size_bytes), 0);
     }
-    return;
+    return aqm_decision::drop;
   }
-  switch (aqm_->on_arrival(p, view, now)) {
-    case aqm_decision::drop:
-      ++stats_.dropped;
-      ++stats_.aqm_dropped;
-      stats_.bytes_dropped += p.size_bytes;
-      if (trace_ != nullptr) {
-        trace_->record(now, obs::trace_event::packet_drop, trace_track_,
-                       static_cast<std::uint64_t>(p.size_bytes), 1);
-      }
-      return;
-    case aqm_decision::mark:
-      if (p.ecn_capable && !p.ecn_marked) {
-        p.ecn_marked = true;
-        ++stats_.ecn_marked;
-        if (trace_ != nullptr) {
-          trace_->record(now, obs::trace_event::packet_mark, trace_track_,
-                         static_cast<std::uint64_t>(p.size_bytes), 0);
-        }
-      }
-      break;
-    case aqm_decision::pass:
-      break;
+  const aqm_decision d = aqm_->on_arrival(p, view, now);
+  if (d == aqm_decision::drop) {
+    ++stats_.dropped;
+    ++stats_.aqm_dropped;
+    stats_.bytes_dropped += p.size_bytes;
+    if (trace_ != nullptr) {
+      trace_->record(now, obs::trace_event::packet_drop, trace_track_,
+                     static_cast<std::uint64_t>(p.size_bytes), 1);
+    }
+  }
+  return d;
+}
+
+void link::transmit(packet&& p) {
+  const time_ns now = sched_.now();
+  const aqm_decision d = admit(p, now);
+  if (d == aqm_decision::drop) return;
+  enqueued(queue_.emplace_back(now, std::move(p)).p, d, now);
+}
+
+void link::transmit(const packet& p) {
+  const time_ns now = sched_.now();
+  const aqm_decision d = admit(p, now);
+  if (d == aqm_decision::drop) return;
+  enqueued(queue_.emplace_back(now, p).p, d, now);
+}
+
+void link::enqueued(packet& p, aqm_decision d, time_ns now) {
+  if (d == aqm_decision::mark && p.ecn_capable && !p.ecn_marked) {
+    p.ecn_marked = true;
+    ++stats_.ecn_marked;
+    if (trace_ != nullptr) {
+      trace_->record(now, obs::trace_event::packet_mark, trace_track_,
+                     static_cast<std::uint64_t>(p.size_bytes), 0);
+    }
   }
   ++stats_.enqueued;
   account_queue(now);
@@ -91,46 +103,45 @@ void link::transmit(packet p) {
                    static_cast<std::uint64_t>(p.size_bytes),
                    static_cast<std::uint64_t>(queued_bytes_));
   }
-  queue_.push_back(queued{now, std::move(p)});
   if (!busy_) start_transmission();
 }
 
 void link::start_transmission() {
   const time_ns now = sched_.now();
   while (!queue_.empty()) {
-    queued qp = std::move(queue_.front());
-    queue_.pop_front();
+    queued& head = queue_.front();
     account_queue(now);
-    queued_bytes_ -= qp.p.size_bytes;
+    queued_bytes_ -= head.p.size_bytes;
     const aqm_queue_view view{queued_bytes_, cfg_.queue_capacity_bytes};
-    switch (aqm_->on_dequeue(qp.p, qp.enqueued_at, view, now)) {
+    switch (aqm_->on_dequeue(head.p, head.enqueued_at, view, now)) {
       case aqm_decision::drop:
         // CoDel sojourn drop: discard the head and consult the policy about
         // the next packet.
         ++stats_.dropped;
         ++stats_.aqm_dropped;
-        stats_.bytes_dropped += qp.p.size_bytes;
+        stats_.bytes_dropped += head.p.size_bytes;
         if (trace_ != nullptr) {
           trace_->record(now, obs::trace_event::packet_drop, trace_track_,
-                         static_cast<std::uint64_t>(qp.p.size_bytes), 2);
+                         static_cast<std::uint64_t>(head.p.size_bytes), 2);
         }
+        queue_.pop_front();
         continue;
       case aqm_decision::mark:
-        if (qp.p.ecn_capable && !qp.p.ecn_marked) {
-          qp.p.ecn_marked = true;
+        if (head.p.ecn_capable && !head.p.ecn_marked) {
+          head.p.ecn_marked = true;
           ++stats_.ecn_marked;
           if (trace_ != nullptr) {
             trace_->record(now, obs::trace_event::packet_mark, trace_track_,
-                           static_cast<std::uint64_t>(qp.p.size_bytes), 1);
+                           static_cast<std::uint64_t>(head.p.size_bytes), 1);
           }
         }
         break;
       case aqm_decision::pass:
         break;
     }
+    // The head stays at the front of queue_ while it is serialized.
     busy_ = true;
-    serializing_ = std::move(qp.p);
-    const time_ns tx = transmission_time(serializing_.size_bytes, cfg_.bps);
+    const time_ns tx = transmission_time(head.p.size_bytes, cfg_.bps);
     sched_.after(tx, [this] { on_serialized(); });
     return;
   }
@@ -138,28 +149,36 @@ void link::start_transmission() {
 }
 
 void link::on_serialized() {
+  packet& p = queue_.front().p;
   ++stats_.delivered;
-  stats_.bytes_delivered += serializing_.size_bytes;
+  stats_.bytes_delivered += p.size_bytes;
   // The packet starts propagating while the link head becomes free for the
   // next packet.
-  flying_.push_back(
-      in_flight{sched_.now() + cfg_.delay, std::move(serializing_)});
+  const in_flight& f =
+      flying_.emplace_back(sched_.now() + cfg_.delay, std::move(p));
+  queue_.pop_front();
   if (!delivery_armed_) {
     delivery_armed_ = true;
-    sched_.at(flying_.back().arrive_at, [this] { on_deliver(); });
+    sched_.at(f.arrive_at, [this] { on_deliver(); });
   }
   start_transmission();
 }
 
 void link::on_deliver() {
   util::require(!flying_.empty(), "link: delivery with nothing in flight");
-  packet p = std::move(flying_.front().p);
-  flying_.pop_front();
-  if (!flying_.empty()) {
-    sched_.at(flying_.front().arrive_at, [this] { on_deliver(); });
+  if (flying_.size() > 1) {
+    sched_.at(flying_[1].arrive_at, [this] { on_deliver(); });
   } else {
     delivery_armed_ = false;
   }
+  // Handed over in place: only on_serialized() pushes to flying_, never a
+  // receive() call, so the front slot stays put until it is popped on the
+  // way out (also when receive() throws).
+  struct pop_front_on_exit {
+    ring<in_flight>& r;
+    ~pop_front_on_exit() { r.pop_front(); }
+  } const pop{flying_};
+  packet& p = flying_.front().p;
   if (trace_ != nullptr) {
     trace_->record(sched_.now(), obs::trace_event::packet_deliver,
                    trace_track_, static_cast<std::uint64_t>(p.size_bytes),

@@ -5,18 +5,21 @@
 //
 // The transmit -> propagate chain runs on two per-link pooled timers (one
 // serialization timer, one delivery timer) whose callbacks capture only the
-// link pointer: packets wait in the link's own queues instead of being moved
-// through per-hop closures, so forwarding a packet allocates nothing.
+// link pointer: packets wait in the link's own ring FIFOs instead of being
+// moved through per-hop closures. A packet is moved twice per link — into
+// the queue ring, and from its head into the in-flight ring once serialized
+// — and handed to the next node by reference, so forwarding a packet
+// allocates nothing once the rings have reached their peak size.
 #ifndef MCC_SIM_LINK_H
 #define MCC_SIM_LINK_H
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 
 #include "obs/trace.h"
 #include "sim/aqm.h"
+#include "sim/ring.h"
 #include "sim/scheduler.h"
 #include "sim/wire.h"
 
@@ -55,8 +58,11 @@ class link {
   link& operator=(const link&) = delete;
 
   /// Hands a packet to the link for transmission; may drop (queue full or
-  /// AQM early drop).
-  void transmit(packet p);
+  /// AQM early drop). The packet is moved into the queue only if admitted.
+  void transmit(packet&& p);
+  /// Same, for a packet that stays with the caller (a multicast branch): it
+  /// is copied into the queue only if admitted.
+  void transmit(const packet& p);
 
   [[nodiscard]] node* from() const { return from_; }
   [[nodiscard]] node* to() const { return to_; }
@@ -76,6 +82,12 @@ class link {
   [[nodiscard]] const link_stats& stats() const { return stats_; }
 
  private:
+  /// The buffer limit and the policy's arrival decision, with drops
+  /// counted: drop, or pass/mark for a packet that may be queued.
+  aqm_decision admit(const packet& p, time_ns now);
+  /// Accounts a packet just queued at the back of queue_ (ECN-marking it
+  /// first when `d` is mark) and starts the line if it is idle.
+  void enqueued(packet& p, aqm_decision d, time_ns now);
   void start_transmission();
   void on_serialized();
   void on_deliver();
@@ -89,21 +101,21 @@ class link {
   link* reverse_ = nullptr;
   link_config cfg_;
   std::unique_ptr<aqm_policy> aqm_;
-  /// Waiting packets stamped with their arrival time (CoDel sojourn).
+  /// Waiting packets stamped with their arrival time (CoDel sojourn). While
+  /// busy_, the front one is being serialized; it leaves the ring when it
+  /// starts propagating.
   struct queued {
     time_ns enqueued_at;
     packet p;
   };
-  std::deque<queued> queue_;
-  /// Head-of-line packet currently being serialized (valid while busy_).
-  packet serializing_;
+  ring<queued> queue_;
   /// Packets in flight on the wire, FIFO by arrival time (the propagation
   /// delay is constant per link).
   struct in_flight {
     time_ns arrive_at;
     packet p;
   };
-  std::deque<in_flight> flying_;
+  ring<in_flight> flying_;
   std::int64_t queued_bytes_ = 0;
   bool busy_ = false;
   bool delivery_armed_ = false;

@@ -11,10 +11,10 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "sim/group_table.h"
 #include "sim/node.h"
 #include "sim/scheduler.h"
 
@@ -90,7 +90,7 @@ class network {
   std::vector<link*> next_hop_;
   bool routing_final_ = false;
   std::map<group_addr, node_id> group_sources_;
-  std::set<group_addr> sigma_protected_;
+  group_set sigma_protected_;
   std::map<int, session_announcement> announcements_;
   std::uint64_t uid_counter_ = 0;
 };

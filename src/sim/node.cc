@@ -13,18 +13,24 @@ void node::remove_agent(agent* a) {
   agents_.erase(std::remove(agents_.begin(), agents_.end(), a), agents_.end());
 }
 
-void node::graft(group_addr g, link* oif) { mcast_oifs_[g].insert(oif); }
+void node::graft(group_addr g, link* oif) {
+  oif_list& out = mcast_oifs_[g];
+  const auto it = std::lower_bound(out.begin(), out.end(), oif, oif_order{});
+  if (it == out.end() || *it != oif) out.insert(it, oif);
+}
 
 void node::prune(group_addr g, link* oif) {
-  auto it = mcast_oifs_.find(g);
-  if (it == mcast_oifs_.end()) return;
-  it->second.erase(oif);
-  if (it->second.empty()) mcast_oifs_.erase(it);
+  oif_list* out = mcast_oifs_.find(g);
+  if (out == nullptr) return;
+  const auto it = std::lower_bound(out->begin(), out->end(), oif, oif_order{});
+  if (it != out->end() && *it == oif) out->erase(it);
+  if (out->empty()) mcast_oifs_.erase(g);
 }
 
 bool node::has_oif(group_addr g, link* oif) const {
-  auto it = mcast_oifs_.find(g);
-  return it != mcast_oifs_.end() && it->second.contains(oif);
+  const oif_list* out = mcast_oifs_.find(g);
+  return out != nullptr &&
+         std::binary_search(out->begin(), out->end(), oif, oif_order{});
 }
 
 bool node::oif_order::operator()(const link* a, const link* b) const {
@@ -35,9 +41,8 @@ bool node::oif_order::operator()(const link* a, const link* b) const {
   return ta != tb ? ta < tb : a < b;
 }
 
-const node::oif_set* node::oifs(group_addr g) const {
-  auto it = mcast_oifs_.find(g);
-  return it == mcast_oifs_.end() ? nullptr : &it->second;
+const node::oif_list* node::oifs(group_addr g) const {
+  return mcast_oifs_.find(g);
 }
 
 int node::oif_count(group_addr g) const {
@@ -62,7 +67,7 @@ void node::send(packet p) {
   }
 }
 
-void node::receive(packet p, link* from) {
+void node::receive(packet&& p, link* from) {
   if (is_host()) {
     const bool for_us =
         (!p.dst.is_multicast() && p.dst.id == id_) ||
@@ -93,7 +98,7 @@ void node::receive(packet p, link* from) {
     l->transmit(std::move(p));
     return;
   }
-  forward(std::move(p), from);
+  forward(p, from);
 }
 
 void node::deliver_local(const packet& p, link* from) {
@@ -102,28 +107,30 @@ void node::deliver_local(const packet& p, link* from) {
   }
 }
 
-void node::forward(packet p, link* from) {
-  const auto* out = oifs(p.dst.group());
+void node::forward(packet& p, link* from) {
+  const oif_list* out = oifs(p.dst.group());
   if (out == nullptr) return;
-  // Copy the oif set (into a reused scratch buffer: no per-packet
+  // Copy the oif list (into a reused scratch buffer: no per-packet
   // allocation): policy callbacks may trigger grafts/prunes mid-loop.
   fanout_scratch_.assign(out->begin(), out->end());
   for (link* oif : fanout_scratch_) {
     if (oif == nullptr || (from != nullptr && oif == from->reverse())) continue;
-    const bool host_facing = oif->to()->is_host();
-    if (host_facing) {
+    if (oif->to()->is_host()) {
       if (p.router_alert) continue;  // never deliver special packets to hosts
-      packet branch_copy = p;
-      if (policy_ != nullptr && !policy_->allow(branch_copy, oif)) {
-        ++stats_.policy_denied;
+      if (policy_ != nullptr) {
+        // The policy may mutate its branch's copy.
+        packet branch_copy = p;
+        if (!policy_->allow(branch_copy, oif)) {
+          ++stats_.policy_denied;
+          continue;
+        }
+        ++stats_.forwarded_multicast;
+        oif->transmit(std::move(branch_copy));
         continue;
       }
-      ++stats_.forwarded_multicast;
-      oif->transmit(std::move(branch_copy));
-      continue;
     }
     ++stats_.forwarded_multicast;
-    oif->transmit(p);  // copy per branch
+    oif->transmit(p);  // copied into the link's queue if admitted
   }
 }
 

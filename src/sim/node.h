@@ -1,17 +1,16 @@
 // Nodes: hosts (protocol endpoints) and routers (forwarding + group tables).
 //
 // Routers forward unicast packets via the network's static next-hop tables
-// and multicast packets via their per-group outgoing-interface sets. A
+// and multicast packets via their per-group outgoing-interface lists. A
 // pluggable access policy on host-facing interfaces is the hook SIGMA
 // implements; plain IGMP corresponds to "no policy" (always allow).
 #ifndef MCC_SIM_NODE_H
 #define MCC_SIM_NODE_H
 
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "sim/group_table.h"
 #include "sim/link.h"
 #include "sim/wire.h"
 
@@ -48,8 +47,10 @@ class node {
   [[nodiscard]] bool is_router() const { return router_; }
   [[nodiscard]] bool is_host() const { return !router_; }
 
-  /// Entry point for packets arriving from a link (nullptr = locally injected).
-  void receive(packet p, link* from);
+  /// Entry point for packets arriving from a link (nullptr = locally
+  /// injected). The packet is taken by reference: a forwarded unicast packet
+  /// is moved on from it, multicast branches are copied from it.
+  void receive(packet&& p, link* from);
 
   /// Hosts: originates a packet (unicast routing or multicast via the access
   /// link). Hosts have exactly one outgoing link.
@@ -77,12 +78,14 @@ class node {
   struct oif_order {
     bool operator()(const link* a, const link* b) const;
   };
-  using oif_set = std::set<link*, oif_order>;
+  /// A group's out-interfaces, sorted by oif_order, each at most once.
+  using oif_list = std::vector<link*>;
 
   void graft(group_addr g, link* oif);
   void prune(group_addr g, link* oif);
   [[nodiscard]] bool has_oif(group_addr g, link* oif) const;
-  [[nodiscard]] const oif_set* oifs(group_addr g) const;
+  /// The group's out-interfaces, or nullptr when none is grafted.
+  [[nodiscard]] const oif_list* oifs(group_addr g) const;
   /// Number of outgoing interfaces currently grafted for the group.
   [[nodiscard]] int oif_count(group_addr g) const;
 
@@ -101,7 +104,7 @@ class node {
 
  private:
   void deliver_local(const packet& p, link* from);
-  void forward(packet p, link* from);
+  void forward(packet& p, link* from);
 
   network& net_;
   node_id id_;
@@ -110,8 +113,8 @@ class node {
   std::vector<agent*> agents_;
   agent* alert_interceptor_ = nullptr;
   access_policy* policy_ = nullptr;
-  std::set<group_addr> local_groups_;
-  std::map<group_addr, oif_set> mcast_oifs_;
+  group_set local_groups_;
+  group_map<oif_list> mcast_oifs_;
   std::vector<link*> out_links_;
   /// Reused multicast fan-out snapshot (packet delivery is never synchronous,
   /// so forward() cannot re-enter while the loop runs).

@@ -15,6 +15,13 @@
 // four children share one cache line: O(log n) schedule/pop (see
 // docs/performance.md for the layout and for why no O(1) structure replaces
 // it).
+//
+// Threading contract: a world — its scheduler, every event_handle the
+// scheduler returned, and every copy of those handles — belongs to one
+// thread. Handles share the event pool through a plain (non-atomic)
+// reference count, so copying or dropping handles of one scheduler on two
+// threads at once is a data race. Sweeps run many worlds in parallel, one
+// world per thread, and never hand a handle across.
 #ifndef MCC_SIM_SCHEDULER_H
 #define MCC_SIM_SCHEDULER_H
 
@@ -112,14 +119,24 @@ struct event_slot {
 
 /// The slab: fixed-size chunks of slots, so a slot's address never changes
 /// while the slab grows (a running callable lives in its slot and may
-/// schedule events that add chunks). Handles hold a weak_ptr to it so they
-/// stay safe (inert) after the owning scheduler is destroyed; the weak_ptr
-/// copy is a refcount bump, not an allocation — the control block is one per
-/// scheduler, not per event.
+/// schedule events that add chunks).
+///
+/// The scheduler and its handles share the pool through an intrusive,
+/// non-atomic reference count, so handles stay safe (inert) after the
+/// scheduler is destroyed: dropping the scheduler's reference clears `alive`
+/// and frees the slab, and the pool object itself goes with the last
+/// reference.
+/// The count is deliberately not atomic (see the threading contract above):
+/// a shared_ptr/weak_ptr pair would make every at() pay two atomic
+/// read-modify-writes once any second thread exists in the process.
 struct event_pool {
   static constexpr std::uint32_t chunk_bits = 8;
   static constexpr std::uint32_t chunk_slots = 1u << chunk_bits;
 
+  /// The scheduler plus every live handle.
+  std::size_t refs = 1;
+  /// False once the scheduler is gone; handles then read as inert.
+  bool alive = true;
   std::vector<std::unique_ptr<event_slot[]>> chunks;
   /// Free slot indices. Its capacity always covers every slot, so pushing a
   /// recycled slot back never allocates.
@@ -146,42 +163,73 @@ struct event_pool {
     // Lowest index on top, so slots are handed out in address order.
     for (std::uint32_t i = chunk_slots; i-- > 0;) free_list.push_back(base + i);
   }
+
+  void retain() { ++refs; }
+  /// Drops one reference, deleting the pool with the last one.
+  void release() {
+    if (--refs == 0) destroy(this);
+  }
+
+ private:
+  /// Out of line: the last release happens once per scheduler, and an
+  /// inlined delete in every handle destructor makes GCC 12 report a
+  /// use-after-free on a count it cannot follow.
+  [[gnu::cold, gnu::noinline]] static void destroy(event_pool* p) { delete p; }
 };
 
 }  // namespace detail
 
 /// Handle to a scheduled event; allows cancellation. Default-constructed
-/// handles are inert, and handles may outlive the scheduler.
+/// handles are inert, and handles may outlive the scheduler. A handle and
+/// its copies stay on their scheduler's thread (see the threading contract
+/// at the top of this file).
 class event_handle {
  public:
   event_handle() = default;
+  event_handle(const event_handle& o)
+      : pool_(o.pool_), slot_(o.slot_), gen_(o.gen_) {
+    if (pool_ != nullptr) pool_->retain();
+  }
+  event_handle(event_handle&& o) noexcept
+      : pool_(std::exchange(o.pool_, nullptr)), slot_(o.slot_), gen_(o.gen_) {}
+  event_handle& operator=(event_handle o) noexcept {
+    std::swap(pool_, o.pool_);
+    slot_ = o.slot_;
+    gen_ = o.gen_;
+    return *this;
+  }
+  ~event_handle() { drop(); }
 
   /// Cancels the event if it has not fired yet. Idempotent.
   void cancel() {
-    if (auto p = pool_.lock()) {
-      detail::event_slot& s = (*p)[slot_];
+    if (pool_ != nullptr && pool_->alive) {
+      detail::event_slot& s = (*pool_)[slot_];
       // Free the captured state now rather than when the dead entry is
       // eventually popped at its deadline.
       if (s.gen == gen_) s.fn.reset();
     }
-    pool_.reset();
+    drop();
   }
 
   /// True if the handle still refers to a pending, uncancelled event.
   [[nodiscard]] bool pending() const {
-    auto p = pool_.lock();
-    if (p == nullptr) return false;
-    const detail::event_slot& s = (*p)[slot_];
+    if (pool_ == nullptr || !pool_->alive) return false;
+    const detail::event_slot& s = (*pool_)[slot_];
     return s.gen == gen_ && s.fn;
   }
 
  private:
   friend class scheduler;
-  event_handle(std::weak_ptr<detail::event_pool> pool, std::uint32_t slot,
-               std::uint32_t gen)
-      : pool_(std::move(pool)), slot_(slot), gen_(gen) {}
+  event_handle(detail::event_pool* pool, std::uint32_t slot, std::uint32_t gen)
+      : pool_(pool), slot_(slot), gen_(gen) {
+    pool_->retain();
+  }
 
-  std::weak_ptr<detail::event_pool> pool_;
+  void drop() {
+    if (pool_ != nullptr) std::exchange(pool_, nullptr)->release();
+  }
+
+  detail::event_pool* pool_ = nullptr;
   std::uint32_t slot_ = 0;
   std::uint32_t gen_ = 0;
 };
@@ -189,9 +237,7 @@ class event_handle {
 /// The event queue. All simulation modules share one scheduler.
 class scheduler {
  public:
-  scheduler() : pool_(std::make_shared<detail::event_pool>()) {
-    heap_.reserve(1024);
-  }
+  scheduler() { heap_.reserve(1024); }
   scheduler(const scheduler&) = delete;
   scheduler& operator=(const scheduler&) = delete;
 
@@ -203,7 +249,7 @@ class scheduler {
     requires std::is_invocable_r_v<void, std::decay_t<F>&>
   event_handle at(time_ns when, F&& fn) {
     util::require(when >= now_, "scheduler: event scheduled in the past");
-    detail::event_pool& pool = *pool_;
+    detail::event_pool& pool = *pool_.pool;
     const std::uint32_t idx = pool.next_free();
     detail::event_slot& slot = pool[idx];
     slot.fn.emplace(std::forward<F>(fn));
@@ -213,7 +259,7 @@ class scheduler {
     heap_push(entry{static_cast<std::uint64_t>(when),
                     next_seq_++ << slot_bits | idx});
     if (pending_events() > max_pending_) max_pending_ = pending_events();
-    return event_handle(pool_, idx, slot.gen);
+    return event_handle(&pool, idx, slot.gen);
   }
 
   /// Schedules `fn` after a relative delay.
@@ -353,7 +399,7 @@ class scheduler {
   /// is bumped first, so the event's own handle already reads as not pending
   /// inside the callback.
   void fire(const entry& top) {
-    detail::event_pool& pool = *pool_;
+    detail::event_pool& pool = *pool_.pool;
     const std::uint32_t idx = slot_of(top);
     detail::event_slot& slot = pool[idx];
     ++slot.gen;
@@ -378,7 +424,23 @@ class scheduler {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t max_pending_ = 0;  // high-water mark of pending_events()
-  std::shared_ptr<detail::event_pool> pool_;
+  /// The scheduler's own reference to its pool. Dropping it destroys every
+  /// pending callable, and handles still alive go inert.
+  struct pool_owner {
+    detail::event_pool* pool = new detail::event_pool;
+    pool_owner() = default;
+    pool_owner(const pool_owner&) = delete;
+    pool_owner& operator=(const pool_owner&) = delete;
+    ~pool_owner() {
+      pool->alive = false;
+      // A destroyed callable may drop handles it captured; this reference
+      // keeps the pool alive until the slab is gone.
+      pool->chunks.clear();
+      pool->free_list.clear();
+      pool->release();
+    }
+  };
+  pool_owner pool_;
   std::vector<entry, line_allocator<entry>> heap_ =
       std::vector<entry, line_allocator<entry>>(root);
 };

@@ -1,17 +1,21 @@
 // The per-event path allocates nothing: scheduling, firing and cancelling
-// inline-sized callables, and passing invariant checks. A counting global
-// operator new/delete (replacing the library's for this executable only)
-// measures it.
+// inline-sized callables, passing invariant checks, and a packet hop through
+// warmed-up links and a router's fan-out. A counting global operator
+// new/delete (replacing the library's for this executable only) measures it.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "adversary/adversary.h"
 #include "exp/testbed.h"
+#include "sim/network.h"
 #include "sim/scheduler.h"
 #include "util/require.h"
 
@@ -154,8 +158,88 @@ TEST(alloc_free, fig07_world_allocates_under_one_per_event) {
   const double per_event =
       static_cast<double>(allocations() - before) / static_cast<double>(events);
   ASSERT_GT(events, 100'000u);
-  EXPECT_LT(per_event, 1.0) << allocations() - before << " allocations over "
-                            << events << " events";
+  // About 0.16 here.
+  EXPECT_LT(per_event, 0.25) << allocations() - before << " allocations over "
+                             << events << " events";
+}
+
+/// Counts the packets delivered to its host without keeping them.
+class counting_agent : public sim::agent {
+ public:
+  counting_agent(sim::network& net, sim::node_id host) {
+    net.get(host)->add_agent(this);
+  }
+  bool handle_packet(const sim::packet&, sim::link*) override {
+    ++received;
+    return true;
+  }
+  std::uint64_t received = 0;
+};
+
+TEST(alloc_free, steady_multicast_forwarding_allocates_nothing) {
+  // host -> router -> 3 hosts: every packet crosses two links and is copied
+  // onto three branches. Once the link rings and the event slab have
+  // reached the batch's peak, a hop allocates nothing.
+  sim::scheduler s;
+  sim::network net(s);
+  const sim::node_id src = net.add_host("src");
+  const sim::node_id r = net.add_router("r");
+  net.connect(src, r, sim::link_config{});
+  const sim::group_addr g{10'000};
+  std::vector<std::unique_ptr<counting_agent>> sinks;
+  std::vector<sim::node_id> hosts;
+  for (int i = 0; i < 3; ++i) {
+    hosts.push_back(net.add_host("h" + std::to_string(i)));
+    net.connect(r, hosts.back(), sim::link_config{});
+  }
+  net.finalize_routing();
+  for (const sim::node_id h : hosts) {
+    net.get(r)->graft(g, net.next_hop(r, h));
+    net.get(h)->host_join(g);
+    sinks.push_back(std::make_unique<counting_agent>(net, h));
+  }
+  const auto batch = [&] {
+    for (int i = 0; i < 10; ++i) {
+      sim::packet p;
+      p.size_bytes = 576;
+      p.dst = sim::dest::to_group(g);
+      p.hdr = sim::flid_data{};
+      net.get(src)->send(std::move(p));
+    }
+    s.run();
+  };
+  for (int i = 0; i < 100; ++i) batch();  // warm the rings and the slab
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 1'000; ++i) batch();  // 10k packets
+  EXPECT_EQ(allocations() - before, 0u);
+  for (const auto& sink : sinks) EXPECT_EQ(sink->received, 11'000u);
+  EXPECT_EQ(net.get(r)->stats().forwarded_multicast, 33'000u);
+}
+
+TEST(alloc_free, flid_dl_and_tcp_world_allocates_under_a_twentieth_per_event) {
+  // Plain FLID-DL beside TCP Reno over a RED dumbbell: no SIGMA, DELTA or
+  // CM, so nearly every event is a packet hop or a protocol timer.
+  exp::dumbbell_config cfg;
+  cfg.bottleneck_bps = 2e6;
+  cfg.seed = 13;
+  cfg.aqm.discipline = sim::qdisc::red;
+  exp::testbed tb(exp::dumbbell(cfg));
+  for (int i = 0; i < 4; ++i) {
+    tb.add_flid_session(exp::flid_mode::dl, {exp::receiver_options{}});
+    tb.add_tcp_flow();
+  }
+  tb.run_until(sim::seconds(5.0));  // routing finalized, queues warm
+
+  const std::uint64_t events_before = tb.sched().executed_events();
+  const std::uint64_t before = allocations();
+  tb.run_until(sim::seconds(25.0));
+  const std::uint64_t events = tb.sched().executed_events() - events_before;
+  const double per_event =
+      static_cast<double>(allocations() - before) / static_cast<double>(events);
+  ASSERT_GT(events, 100'000u);
+  // About 0.006 here.
+  EXPECT_LT(per_event, 0.05) << allocations() - before << " allocations over "
+                             << events << " events";
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include "sim/link.h"
+#include "sim/ring.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "test_util.h"
 
@@ -295,6 +299,157 @@ TEST(link, time_average_queue_tracks_occupancy) {
   // afterwards; at t = 32 ms the time-average is (3+2+1)*8/32 = 1500 bytes.
   EXPECT_EQ(s.now(), milliseconds(32));
   EXPECT_DOUBLE_EQ(t.fwd->time_avg_queued_bytes(s.now()), 1'500.0);
+}
+
+TEST(ring, grows_while_wrapped_and_keeps_fifo_order) {
+  ring<int> r;
+  int next_in = 0;
+  int next_out = 0;
+  // Advance the head so the next pushes wrap, then grow the ring from a
+  // wrapped state twice; every pop must return the next value in order.
+  for (int i = 0; i < 6; ++i) r.emplace_back(next_in++);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(r.front(), next_out++);
+    r.pop_front();
+  }
+  EXPECT_EQ(r.capacity(), 8u);
+  for (int i = 0; i < 30; ++i) r.emplace_back(next_in++);
+  EXPECT_EQ(r.capacity(), 32u);
+  EXPECT_EQ(r.size(), 31u);
+  EXPECT_EQ(r[30], next_in - 1);
+  while (!r.empty()) {
+    EXPECT_EQ(r.front(), next_out++);
+    r.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
+/// Records each cbr packet's sequence number and arrival time.
+struct timed_sink : agent {
+  timed_sink(network& net, node_id host, scheduler& s) : s_(s) {
+    net.get(host)->add_agent(this);
+  }
+  bool handle_packet(const packet& p, link*) override {
+    seqs.push_back(header_as<cbr_payload>(p)->seq);
+    times.push_back(s_.now());
+    return true;
+  }
+  scheduler& s_;
+  std::vector<std::int64_t> seqs;
+  std::vector<time_ns> times;
+};
+
+TEST(link, bursts_past_the_ring_capacity_wrap_in_order_and_on_time) {
+  // 125-byte packets at 1 Mbps: 1 ms each. Bursts larger than the rings'
+  // initial capacity arrive before the previous one drains, so the queue
+  // ring grows and wraps while the line stays busy from t = 0, and the
+  // 30 ms of propagation keeps ~30 packets in the in-flight ring.
+  scheduler s;
+  link_config cfg;
+  cfg.bps = 1e6;
+  cfg.delay = milliseconds(30);
+  two_hosts t(s, cfg);
+  timed_sink sink(t.net, t.b, s);
+  const time_ns tx = milliseconds(1);
+  struct burst {
+    time_ns at;
+    int packets;
+  };
+  const std::vector<burst> bursts = {
+      {0, 20}, {milliseconds(15), 30}, {milliseconds(40), 45},
+      {milliseconds(83), 9}, {milliseconds(90), 60}};
+  std::int64_t seq = 0;
+  std::int64_t sent = 0;
+  for (const burst& b : bursts) {
+    const std::int64_t first = seq;
+    seq += b.packets;
+    s.at(b.at, [&t, first, n = b.packets] {
+      for (int i = 0; i < n; ++i) {
+        packet p = make_packet(125, t.b);
+        p.hdr = cbr_payload{1, first + i};
+        t.net.get(t.a)->send(std::move(p));
+      }
+    });
+    sent += b.packets;
+    // Mid-serialization checkpoint: every enqueued packet has been
+    // serialized, is being serialized, or is waiting.
+    s.at(b.at + tx / 2, [&t, sent, tx, at = b.at] {
+      const link_stats& st = t.fwd->stats();
+      EXPECT_EQ(st.enqueued, static_cast<std::uint64_t>(sent));
+      EXPECT_EQ(st.delivered, static_cast<std::uint64_t>(at / tx));
+      EXPECT_EQ(st.enqueued,
+                st.delivered + 1 + static_cast<std::uint64_t>(
+                                       t.fwd->queued_bytes() / 125));
+    });
+  }
+  s.run();
+  ASSERT_EQ(sink.seqs.size(), static_cast<std::size_t>(sent));
+  for (std::size_t k = 0; k < sink.seqs.size(); ++k) {
+    EXPECT_EQ(sink.seqs[k], static_cast<std::int64_t>(k));
+    EXPECT_EQ(sink.times[k],
+              static_cast<time_ns>(k + 1) * tx + cfg.delay);
+  }
+  const link_stats& st = t.fwd->stats();
+  EXPECT_EQ(st.dropped, 0u);
+  EXPECT_EQ(st.enqueued, st.delivered);
+  EXPECT_EQ(t.fwd->queued_bytes(), 0);
+}
+
+TEST(link, codel_head_drops_in_a_wrapped_ring_keep_the_line_busy) {
+  // Two busy periods of 2x overload in bursts (20 ms of work every 10 ms),
+  // so the queue never empties inside a period and CoDel drops heads while
+  // the queue ring's tail wraps past its head; the second period refills
+  // the ring from wherever the first one left its head. A head drop costs
+  // no line time: the m-th survivor of a period that starts at t0 arrives
+  // at t0 + m * tx + delay.
+  scheduler s;
+  link_config cfg;
+  cfg.bps = 1e6;
+  cfg.delay = milliseconds(3);
+  cfg.queue_capacity_bytes = 1'000'000;
+  cfg.aqm.discipline = qdisc::codel;
+  cfg.aqm.codel.ecn = false;
+  two_hosts t(s, cfg);
+  timed_sink sink(t.net, t.b, s);
+  const time_ns tx = milliseconds(1);
+  const time_ns second_period = seconds(5.0);
+  constexpr int bursts = 60;
+  constexpr int per_burst = 20;
+  std::int64_t seq = 0;
+  for (const time_ns t0 : {time_ns{0}, second_period}) {
+    for (int b = 0; b < bursts; ++b, seq += per_burst) {
+      s.at(t0 + milliseconds(10) * b, [&t, seq] {
+        for (int i = 0; i < per_burst; ++i) {
+          packet p = make_packet(125, t.b);
+          p.hdr = cbr_payload{1, seq + i};
+          t.net.get(t.a)->send(std::move(p));
+        }
+      });
+    }
+  }
+  s.run();
+  const link_stats& st = t.fwd->stats();
+  EXPECT_GT(st.aqm_dropped, 0u);
+  EXPECT_EQ(st.dropped, st.aqm_dropped);
+  EXPECT_EQ(st.enqueued, static_cast<std::uint64_t>(seq));
+  EXPECT_EQ(st.enqueued, st.delivered + st.aqm_dropped);
+  ASSERT_EQ(sink.seqs.size(), st.delivered);
+  std::size_t first_of_second = 0;
+  while (first_of_second < sink.seqs.size() &&
+         sink.seqs[first_of_second] < bursts * per_burst) {
+    ++first_of_second;
+  }
+  ASSERT_GT(first_of_second, 0u);
+  ASSERT_LT(first_of_second, sink.seqs.size());
+  for (std::size_t m = 0; m < sink.seqs.size(); ++m) {
+    if (m > 0) {
+      EXPECT_GT(sink.seqs[m], sink.seqs[m - 1]);
+    }
+    const bool second = m >= first_of_second;
+    const time_ns t0 = second ? second_period : 0;
+    const std::size_t k = second ? m - first_of_second : m;
+    EXPECT_EQ(sink.times[m], t0 + static_cast<time_ns>(k + 1) * tx + cfg.delay);
+  }
 }
 
 TEST(link, rejects_invalid_config) {

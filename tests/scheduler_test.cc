@@ -121,6 +121,72 @@ TEST(scheduler, handle_outlives_scheduler) {
   h.cancel();  // safe no-op
 }
 
+TEST(scheduler, copied_and_moved_handles_go_inert_with_the_scheduler) {
+  event_handle original;
+  event_handle copy;
+  event_handle moved;
+  event_handle cancelled;
+  event_handle queried;
+  int fired = 0;
+  {
+    scheduler s;
+    original = s.at(milliseconds(10), [&fired] { ++fired; });
+    copy = original;
+    event_handle temp = s.at(milliseconds(20), [&fired] { ++fired; });
+    moved = std::move(temp);
+    EXPECT_FALSE(temp.pending());  // NOLINT(bugprone-use-after-move)
+    cancelled = s.at(milliseconds(30), [&fired] { ++fired; });
+    queried = s.at(milliseconds(40), [&fired] { ++fired; });
+    EXPECT_TRUE(copy.pending());
+    EXPECT_TRUE(moved.pending());
+    EXPECT_TRUE(queried.pending());
+    // A pending callable that owns a handle to its own scheduler: the
+    // scheduler's destructor destroys it, dropping that handle.
+    event_handle self = s.at(milliseconds(50), [] {});
+    s.at(milliseconds(60), [self] { (void)self.pending(); });
+  }
+  // Every way of touching a handle after the scheduler died is inert.
+  EXPECT_FALSE(original.pending());
+  EXPECT_FALSE(copy.pending());
+  EXPECT_FALSE(moved.pending());
+  EXPECT_FALSE(queried.pending());
+  cancelled.cancel();
+  cancelled.cancel();
+  EXPECT_FALSE(cancelled.pending());
+  event_handle copied_after = copy;
+  EXPECT_FALSE(copied_after.pending());
+  copied_after.cancel();
+  event_handle moved_after = std::move(moved);
+  EXPECT_FALSE(moved_after.pending());
+  moved_after = original;  // copy-assign over a live handle
+  EXPECT_FALSE(moved_after.pending());
+  original = event_handle{};
+  EXPECT_FALSE(original.pending());
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(scheduler, handle_copies_share_one_event) {
+  scheduler s;
+  int fired = 0;
+  event_handle a = s.at(milliseconds(1), [&fired] { ++fired; });
+  event_handle b = a;
+  event_handle c = std::move(b);
+  EXPECT_TRUE(a.pending());
+  EXPECT_TRUE(c.pending());
+  c.cancel();
+  EXPECT_FALSE(a.pending());
+  EXPECT_FALSE(c.pending());
+  s.run();
+  EXPECT_EQ(fired, 0);
+  event_handle d = s.at(milliseconds(2), [&fired] { ++fired; });
+  a = d;  // reassigning a stale handle to a live one
+  EXPECT_TRUE(a.pending());
+  s.run();
+  EXPECT_FALSE(a.pending());
+  EXPECT_FALSE(d.pending());
+  EXPECT_EQ(fired, 1);
+}
+
 TEST(scheduler, stale_handle_does_not_affect_recycled_slot) {
   scheduler s;
   int first = 0;
