@@ -93,6 +93,7 @@ int main(int argc, char** argv) {
                "# authorizations, which feeds back into its own traffic and\n"
                "# join churn — so the degraded points are lossy AND unstable,\n"
                "# not monotone in z.\n";
-  exp::maybe_write_json(flags, "ablation_fec_rate", rows);
+  exp::maybe_write_json(flags, "ablation_fec_rate", rows, opts);
+  exp::maybe_write_trace(flags, rows);
   return 0;
 }

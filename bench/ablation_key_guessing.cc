@@ -80,6 +80,7 @@ int main(int argc, char** argv) {
   exp::print_check(std::cout, "16-bit keys, 256 guesses/slot",
                    "~1.2% success/slot (paper: y/2^b)",
                    100.0 * (1.0 - std::pow(1.0 - 3.0 / 65536.0, 256)), "%");
-  exp::maybe_write_json(flags, "ablation_key_guessing", rows);
+  exp::maybe_write_json(flags, "ablation_key_guessing", rows, opts);
+  exp::maybe_write_trace(flags, rows);
   return 0;
 }

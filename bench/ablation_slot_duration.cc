@@ -79,6 +79,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "# expectation: fairness stays high at every slot size; SIGMA\n"
                "# overhead shrinks as slots lengthen (fewer key rotations).\n";
-  exp::maybe_write_json(flags, "ablation_slot_duration", rows);
+  exp::maybe_write_json(flags, "ablation_slot_duration", rows, opts);
+  exp::maybe_write_trace(flags, rows);
   return 0;
 }

@@ -84,6 +84,7 @@ int main(int argc, char** argv) {
   std::cout << "# threshold DELTA pays an order of magnitude more on small\n"
                "# sessions and grows with N on the base layer - the paper's\n"
                "# open problem, quantified.\n";
-  exp::maybe_write_json(flags, "ablation_threshold_overhead", rows);
+  exp::maybe_write_json(flags, "ablation_threshold_overhead", rows, opts);
+  exp::maybe_write_trace(flags, rows);
   return 0;
 }

@@ -85,6 +85,7 @@ int main(int argc, char** argv) {
                    row.value_of("T1_after"), "Kbps");
   exp::print_check(std::cout, "T2 throughput after the attack", "~100 (crushed)",
                    row.value_of("T2_after"), "Kbps");
-  exp::maybe_write_json(flags, "fig01_inflated_subscription", rows);
+  exp::maybe_write_json(flags, "fig01_inflated_subscription", rows, opts);
+  exp::maybe_write_trace(flags, rows);
   return 0;
 }

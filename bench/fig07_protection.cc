@@ -5,14 +5,12 @@
 // (claiming the maximal level and flooding random key guesses). The paper
 // shows the fair allocation preserved for all four receivers.
 #include <array>
-#include <cstdio>
 #include <iostream>
 
 #include "adversary/adversary.h"
 #include "exp/report.h"
 #include "exp/sweep.h"
 #include "exp/testbed.h"
-#include "obs/trace.h"
 #include "sim/stats.h"
 #include "util/flags.h"
 
@@ -25,7 +23,9 @@ int main(int argc, char** argv) {
   flags.add("attack-keys", "guess",
             "how unprovable layers are backed: best_effort|replay|guess");
   flags.add("seed", "7", "simulation seed");
-  exp::add_interface_keying_flag(flags);
+  // One scenario per run, so no "both": the flag parser rejects it.
+  flags.add_enum("interface-keying", "off",
+                 "collusion countermeasure (section 4.2)", {"off", "on"});
   exp::add_sweep_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
 
@@ -33,30 +33,14 @@ int main(int argc, char** argv) {
   const double inflate_at_s = flags.f64("inflate_at");
   const adversary::key_mode keys =
       adversary::key_mode_from_flag(flags.str("attack-keys"));
-  // Off (the paper's setup) unless asked for. This is a single-scenario
-  // figure, so the axis spelling "both" would silently pick one value —
-  // reject it with the usual friendly flag UX instead.
-  const auto keying_axis = exp::interface_keying_axis_from_flags(flags);
-  if (keying_axis.size() > 1) {
-    std::fprintf(stderr,
-                 "bad value for --interface-keying: 'both' (this bench runs "
-                 "one scenario; use off or on)\n");
-    return 1;
-  }
-  const bool keying = keying_axis.front();
+  // Off (the paper's setup) unless asked for.
+  const bool keying = flags.str("interface-keying") == "on";
   const auto opts = exp::sweep_options_from_flags(
       flags, static_cast<std::uint64_t>(flags.i64("seed")));
-  const bool tracing = exp::trace_requested(flags);
-  const bool profiling = exp::profile_requested(flags);
 
-  exp::sweep_profile prof;
   const auto rows = exp::run_sweep(
       {1.0}, opts,
       [&](const exp::sweep_point& pt) {
-        // Install the point's trace sink before the world is built: engine
-        // components latch the sink at construction.
-        obs::trace_buffer tb;
-        obs::trace_scope scope(tracing ? &tb : nullptr);
         exp::dumbbell_config cfg;
         cfg.bottleneck_bps = 1e6;
         cfg.seed = pt.seed;
@@ -94,10 +78,8 @@ int main(int argc, char** argv) {
         row.value("invalid_keys",
                   static_cast<double>(d.sigma().stats().invalid_keys));
         row.metrics = d.metrics().snapshot();
-        if (tracing) row.trace_blob = tb.serialize();
         return row;
-      },
-      profiling ? &prof : nullptr);
+      });
   const exp::sweep_row& row = rows.front();
 
   exp::print_series(std::cout, "Fig 7: F1 (misbehaving FLID-DS) Kbps vs s",
@@ -118,8 +100,7 @@ int main(int argc, char** argv) {
                    "high (allocation preserved)", row.value_of("fairness"), "");
   exp::print_check(std::cout, "invalid keys rejected by SIGMA", "> 0",
                    row.value_of("invalid_keys"), "");
-  exp::maybe_write_json(flags, "fig07_protection", rows,
-                        profiling ? &prof : nullptr);
+  exp::maybe_write_json(flags, "fig07_protection", rows, opts);
   exp::maybe_write_trace(flags, rows);
   return 0;
 }

@@ -125,6 +125,7 @@ int main(int argc, char** argv) {
   }
   exp::print_check(std::cout, "max relative DL-vs-DS average gap",
                    "small (curves overlap)", worst_gap, "fraction");
-  exp::maybe_write_json(flags, "fig08abc_throughput_nocross", rows);
+  exp::maybe_write_json(flags, "fig08abc_throughput_nocross", rows, opts);
+  exp::maybe_write_trace(flags, rows);
   return 0;
 }

@@ -156,6 +156,7 @@ int main(int argc, char** argv) {
   }
   exp::print_check(std::cout, "max relative DL-vs-DS average gap",
                    "small (curves overlap)", worst_gap, "fraction");
-  exp::maybe_write_json(flags, "fig08d_average_with_cross", rows);
+  exp::maybe_write_json(flags, "fig08d_average_with_cross", rows, opts);
+  exp::maybe_write_trace(flags, rows);
   return 0;
 }

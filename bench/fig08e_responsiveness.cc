@@ -86,6 +86,7 @@ int main(int argc, char** argv) {
     exp::print_check(std::cout, row.label + " after burst", "recovers",
                      row.value_of("after"), "Kbps");
   }
-  exp::maybe_write_json(flags, "fig08e_responsiveness", rows);
+  exp::maybe_write_json(flags, "fig08e_responsiveness", rows, opts);
+  exp::maybe_write_trace(flags, rows);
   return 0;
 }

@@ -98,6 +98,7 @@ int main(int argc, char** argv) {
     exp::print_check(std::cout, row.label + " mean across receivers",
                      "~200-250", row.value_of("mean"), "Kbps");
   }
-  exp::maybe_write_json(flags, "fig08f_heterogeneous_rtt", rows);
+  exp::maybe_write_json(flags, "fig08f_heterogeneous_rtt", rows, opts);
+  exp::maybe_write_trace(flags, rows);
   return 0;
 }

@@ -75,6 +75,7 @@ int main(int argc, char** argv) {
                      "yes (converged)", row.value_of("converged"), "(1 = yes)");
     std::cout << "\n";
   }
-  exp::maybe_write_json(flags, "fig08gh_convergence", rows);
+  exp::maybe_write_json(flags, "fig08gh_convergence", rows, opts);
+  exp::maybe_write_trace(flags, rows);
   return 0;
 }

@@ -161,6 +161,7 @@ int main(int argc, char** argv) {
                    "about 0.8%", 100 * worst_delta, "% (max)");
   exp::print_check(std::cout, "SIGMA overhead across both sweeps",
                    "under 0.6%", 100 * worst_sigma, "% (max)");
-  exp::maybe_write_json(flags, "fig09_overhead", rows);
+  exp::maybe_write_json(flags, "fig09_overhead", rows, opts);
+  exp::maybe_write_trace(flags, rows);
   return 0;
 }

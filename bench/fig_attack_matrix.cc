@@ -76,35 +76,21 @@ struct cell {
   std::size_t seed_index = 0;
 };
 
-exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
-                                sim::qdisc queue, const sim::aqm_config& aqm_in,
-                                bool keying, int memory, bool cm,
-                                const cm::cm_config& cm_params,
-                                site_plan& sites) {
-  sim::aqm_config aqm = aqm_in;
-  aqm.discipline = queue;
+exp::testbed_config make_config(const std::string& topo,
+                                const exp::world_options& w,
+                                const sim::aqm_config& aqm, site_plan& sites) {
   if (topo == "dumbbell") {
-    exp::dumbbell_config cfg;
+    exp::dumbbell_config cfg{w};
     cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.interface_keying = keying;
-    cfg.probation_memory_slots = memory;
-    cfg.cm = cm;
-    cfg.cm_params = cm_params;
     sites = {"r", "r", "r"};
     return exp::dumbbell(cfg);
   }
   if (topo == "parking_lot") {
-    exp::parking_lot_config cfg;
+    exp::parking_lot_config cfg{w};
     cfg.bottlenecks = 2;
     cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.interface_keying = keying;
-    cfg.probation_memory_slots = memory;
-    cfg.cm = cm;
-    cfg.cm_params = cm_params;
     // The attacker sits behind both bottlenecks; its colluding partner
     // behind only the first, so the partner's cleaner congestion state
     // feeds the key pool.
@@ -112,16 +98,11 @@ exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
     return exp::parking_lot(cfg);
   }
   if (topo == "tree") {
-    exp::tree_config cfg;
+    exp::tree_config cfg{w};
     cfg.depth = 2;
     cfg.fanout = 2;
     cfg.edge_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.interface_keying = keying;
-    cfg.probation_memory_slots = memory;
-    cfg.cm = cm;
-    cfg.cm_params = cm_params;
     // Attacker on a sibling leaf of the honest receiver: they share the
     // root->t1_0 edge (the contested link) and split below it. The second
     // colluder sits in the other subtree, where its cleaner congestion
@@ -156,12 +137,17 @@ int main(int argc, char** argv) {
   flags.add("pulse-off", "5", "pulse_inflate: recovery phase, seconds");
   flags.add("flap-period", "1", "churn_flap: slots per phase");
   flags.add("seed", "7", "simulation seed");
-  exp::add_interface_keying_flag(flags, "both");
-  exp::add_probation_memory_flag(flags, "both");
+  exp::add_axis_flag(flags, "interface-keying", "both",
+                     "collusion countermeasure (section 4.2)");
+  exp::add_axis_flag(flags, "probation-memory", "both",
+                     "router probation memory (adaptive_churn countermeasure)");
+  exp::add_probation_memory_slots_flag(flags);
   // Default off: the matrix is a single-receiver-per-edge study outside the
   // dumbbell, where the manager is provably inert; --cm=both adds the
   // shared-manager twin of every cell for the never-worsens-ttc pin.
-  exp::add_cm_flags(flags, "off");
+  exp::add_axis_flag(flags, "cm", "off",
+                     "shared congestion manager across co-located sessions");
+  exp::add_cm_flags(flags);
   exp::add_aqm_flags(flags);
   exp::add_sweep_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
@@ -222,7 +208,8 @@ int main(int argc, char** argv) {
           : util::split_csv(flags.str("topos"));
   const std::vector<sim::qdisc> qdiscs = exp::qdisc_list_from_flags(flags);
   const sim::aqm_config aqm_base = exp::aqm_config_from_flags(flags);
-  std::vector<bool> keyings = exp::interface_keying_axis_from_flags(flags);
+  std::vector<bool> keyings =
+      exp::axis_from_flags(flags, "interface-keying", false, true);
   if (mode == exp::flid_mode::dl && (keyings.size() > 1 || keyings.front())) {
     // Keys do not exist in the plain world; the axis would duplicate cells.
     std::fprintf(stderr,
@@ -230,7 +217,9 @@ int main(int argc, char** argv) {
                  "running the axis off\n");
     keyings = {false};
   }
-  std::vector<int> memories = exp::probation_memory_axis_from_flags(flags);
+  std::vector<int> memories = exp::axis_from_flags(
+      flags, "probation-memory", 0,
+      exp::probation_memory_slots_from_flags(flags));
   if (mode == exp::flid_mode::dl &&
       (memories.size() > 1 || memories.front() != 0)) {
     // No SIGMA router in the plain world; the axis would duplicate cells.
@@ -239,7 +228,7 @@ int main(int argc, char** argv) {
                  "running the axis off\n");
     memories = {0};
   }
-  const std::vector<bool> cms = exp::cm_axis_from_flags(flags);
+  const std::vector<bool> cms = exp::axis_from_flags(flags, "cm", false, true);
   const cm::cm_config cm_params = exp::cm_config_from_flags(flags);
 
   std::vector<cell> cells;
@@ -248,8 +237,7 @@ int main(int argc, char** argv) {
     for (const std::string& t : topos) {
       // Validate topology names up front (before worker threads).
       site_plan probe;
-      (void)make_config(t, 1, sim::qdisc::droptail, aqm_base, false, 0, false,
-                        cm_params, probe);
+      (void)make_config(t, {}, aqm_base, probe);
       for (const sim::qdisc q : qdiscs) {
         for (const bool k : keyings) {
           for (const int m : memories) {
@@ -278,9 +266,15 @@ int main(int argc, char** argv) {
   const auto rows = exp::run_sweep(xs, opts, [&](const exp::sweep_point& pt) {
     const cell& c = cells[pt.index];
     site_plan sites;
-    exp::testbed d(make_config(c.topo, exp::point_seed(opts.base_seed, c.seed_index),
-                               c.queue, aqm_base, c.keying, c.memory, c.cm,
-                               cm_params, sites));
+    exp::world_options w;
+    w.seed = exp::point_seed(opts.base_seed, c.seed_index);
+    w.interface_keying = c.keying;
+    w.probation_memory_slots = c.memory;
+    w.cm = c.cm;
+    w.cm_params = cm_params;
+    sim::aqm_config aqm = aqm_base;
+    aqm.discipline = c.queue;
+    exp::testbed d(make_config(c.topo, w, aqm, sites));
 
     adversary::profile attack;
     switch (c.strategy) {
@@ -628,6 +622,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  exp::maybe_write_json(flags, "fig_attack_matrix", rows);
+  exp::maybe_write_json(flags, "fig_attack_matrix", rows, opts);
+  exp::maybe_write_trace(flags, rows);
   return 0;
 }

@@ -47,7 +47,6 @@
 #include "exp/report.h"
 #include "exp/sweep.h"
 #include "exp/testbed.h"
-#include "obs/trace.h"
 #include "util/flags.h"
 
 using namespace mcc;
@@ -71,47 +70,37 @@ struct cell {
   int memory = 0;      // probation-memory window, slots (0 = off)
 };
 
-exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
-                                sim::qdisc queue, const sim::aqm_config& aqm_in,
-                                int memory, site_plan& sites) {
-  sim::aqm_config aqm = aqm_in;
-  aqm.discipline = queue;
+exp::testbed_config make_config(const std::string& topo,
+                                const exp::world_options& w,
+                                const sim::aqm_config& aqm, site_plan& sites) {
   if (topo == "dumbbell") {
-    exp::dumbbell_config cfg;
+    exp::dumbbell_config cfg{w};
     cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.probation_memory_slots = memory;
     sites = {"r", "r"};
     return exp::dumbbell(cfg);
   }
   if (topo == "parking_lot") {
-    exp::parking_lot_config cfg;
+    exp::parking_lot_config cfg{w};
     cfg.bottlenecks = 2;
     cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.probation_memory_slots = memory;
     sites = {"r2", "r2"};
     return exp::parking_lot(cfg);
   }
   if (topo == "star") {
-    exp::star_config cfg;
+    exp::star_config cfg{w};
     cfg.spoke_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.probation_memory_slots = memory;
     sites = {"s1", "s1"};
     return exp::star(cfg);
   }
   if (topo == "tree") {
-    exp::tree_config cfg;
+    exp::tree_config cfg{w};
     cfg.depth = 2;
     cfg.fanout = 2;
     cfg.edge_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.probation_memory_slots = memory;
     // The adversary hides on a sibling leaf: it shares the contested
     // root->t1_0 edge with the population and splits below it.
     sites = {"t2_0", "t2_1"};
@@ -147,7 +136,9 @@ int main(int argc, char** argv) {
             "key mode for inflate_once/pulse_inflate: best_effort|replay|guess");
   flags.add("seed", "11", "simulation seed");
   exp::add_population_flags(flags, "1000,1000000");
-  exp::add_probation_memory_flag(flags, "off");
+  exp::add_axis_flag(flags, "probation-memory", "off",
+                     "router probation memory (adaptive_churn countermeasure)");
+  exp::add_probation_memory_slots_flag(flags);
   exp::add_aqm_flags(flags);
   exp::add_sweep_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
@@ -209,7 +200,9 @@ int main(int argc, char** argv) {
       exp::population_axis_from_flags(flags);
   const population::population_config pop_base =
       exp::population_config_from_flags(flags);
-  std::vector<int> memories = exp::probation_memory_axis_from_flags(flags);
+  std::vector<int> memories = exp::axis_from_flags(
+      flags, "probation-memory", 0,
+      exp::probation_memory_slots_from_flags(flags));
   if (mode == exp::flid_mode::dl &&
       (memories.size() > 1 || memories.front() != 0)) {
     // No SIGMA router in the plain world; the axis would duplicate cells.
@@ -224,7 +217,7 @@ int main(int argc, char** argv) {
     for (const std::string& t : topos) {
       // Validate topology names up front (before worker threads).
       site_plan probe;
-      (void)make_config(t, 1, sim::qdisc::droptail, aqm_base, 0, probe);
+      (void)make_config(t, {}, aqm_base, probe);
       for (const sim::qdisc q : qdiscs) {
         for (const std::string& a : attacks) {
           for (const int m : memories) cells.push_back({n, t, q, a, m});
@@ -240,21 +233,18 @@ int main(int argc, char** argv) {
 
   const sim::time_ns attack_at = sim::seconds(attack_at_s);
   const sim::time_ns horizon = sim::seconds(duration);
-  const bool tracing = exp::trace_requested(flags);
-  const bool profiling = exp::profile_requested(flags);
 
-  exp::sweep_profile prof;
   const auto rows = exp::run_sweep(
       xs, opts,
       [&](const exp::sweep_point& pt) {
     const cell& c = cells[pt.index];
-    // The sink must be installed before the testbed builds its world: links
-    // and agents latch the per-point trace buffer at construction.
-    obs::trace_buffer tb;
-    obs::trace_scope scope(tracing ? &tb : nullptr);
     site_plan sites;
-    exp::testbed d(
-        make_config(c.topo, pt.seed, c.queue, aqm_base, c.memory, sites));
+    exp::world_options w;
+    w.seed = pt.seed;
+    w.probation_memory_slots = c.memory;
+    sim::aqm_config aqm = aqm_base;
+    aqm.discipline = c.queue;
+    exp::testbed d(make_config(c.topo, w, aqm, sites));
 
     // One session: the aggregated honest audience plus, in attack cells, one
     // individually simulated adversary hiding at the same contested path.
@@ -376,10 +366,8 @@ int main(int argc, char** argv) {
     row.trace("member_kbps_series", agg.member_monitor().series_kbps());
     row.trace("delegate_kbps_series", pop.delegate->monitor().series_kbps());
     row.metrics = d.metrics().snapshot();
-    if (tracing) row.trace_blob = tb.serialize();
     return row;
-  },
-      profiling ? &prof : nullptr);
+  });
 
   std::printf("# flash crowd (%s): topo/qdisc/pop/attack\n",
               mode_name.c_str());
@@ -448,8 +436,7 @@ int main(int argc, char** argv) {
                        "of " + std::to_string(memory_cells));
     }
   }
-  exp::maybe_write_json(flags, "fig_flash_crowd", rows,
-                        profiling ? &prof : nullptr);
+  exp::maybe_write_json(flags, "fig_flash_crowd", rows, opts);
   exp::maybe_write_trace(flags, rows);
   return 0;
 }

@@ -169,6 +169,7 @@ int main(int argc, char** argv) {
     exp::print_check(std::cout, "invalid keys rejected at far edge (DS, " + qd + ")",
                      "> 0", ds.value_of("invalid_keys_far"), "");
   }
-  exp::maybe_write_json(flags, "fig_multibottleneck", rows);
+  exp::maybe_write_json(flags, "fig_multibottleneck", rows, opts);
+  exp::maybe_write_trace(flags, rows);
   return 0;
 }

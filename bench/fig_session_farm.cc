@@ -36,7 +36,6 @@
 #include "exp/report.h"
 #include "exp/sweep.h"
 #include "exp/testbed.h"
-#include "obs/trace.h"
 #include "util/flags.h"
 
 using namespace mcc;
@@ -75,31 +74,22 @@ std::uint64_t cell_seed(std::uint64_t base, const cell& c) {
   return h;
 }
 
-exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
-                                sim::qdisc queue, const sim::aqm_config& aqm_in,
-                                double path_bps, bool cm,
-                                const cm::cm_config& cm_params,
+exp::testbed_config make_config(const std::string& topo,
+                                const exp::world_options& w,
+                                const sim::aqm_config& aqm, double path_bps,
                                 site_plan& sites) {
-  sim::aqm_config aqm = aqm_in;
-  aqm.discipline = queue;
   if (topo == "dumbbell") {
-    exp::dumbbell_config cfg;
+    exp::dumbbell_config cfg{w};
     cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.cm = cm;
-    cfg.cm_params = cm_params;
     sites = {"r"};
     return exp::dumbbell(cfg);
   }
   if (topo == "parking_lot") {
-    exp::parking_lot_config cfg;
+    exp::parking_lot_config cfg{w};
     cfg.bottlenecks = 2;
     cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.cm = cm;
-    cfg.cm_params = cm_params;
     sites = {"r2"};
     return exp::parking_lot(cfg);
   }
@@ -135,7 +125,9 @@ int main(int argc, char** argv) {
             "the collateral-damage CHECK applies at this many sessions or "
             "more");
   flags.add("seed", "21", "simulation seed");
-  exp::add_cm_flags(flags, "both");
+  exp::add_axis_flag(flags, "cm", "both",
+                     "shared congestion manager across co-located sessions");
+  exp::add_cm_flags(flags);
   exp::add_aqm_flags(flags);
   exp::add_sweep_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
@@ -211,7 +203,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> topos = util::split_csv(flags.str("topos"));
   const std::vector<sim::qdisc> qdiscs = exp::qdisc_list_from_flags(flags);
   const sim::aqm_config aqm_base = exp::aqm_config_from_flags(flags);
-  std::vector<bool> cms = exp::cm_axis_from_flags(flags);
+  const std::vector<bool> cms = exp::axis_from_flags(flags, "cm", false, true);
   const cm::cm_config cm_params = exp::cm_config_from_flags(flags);
 
   std::vector<cell> cells;
@@ -219,8 +211,7 @@ int main(int argc, char** argv) {
     for (const std::string& t : topos) {
       // Validate topology names up front (before worker threads).
       site_plan probe;
-      (void)make_config(t, 1, sim::qdisc::droptail, aqm_base, 1e6, false,
-                        cm_params, probe);
+      (void)make_config(t, {}, aqm_base, 1e6, probe);
       for (const sim::qdisc q : qdiscs) {
         for (const std::string& a : attacks) {
           for (const bool c : cms) cells.push_back({n, t, q, a, c});
@@ -236,24 +227,24 @@ int main(int argc, char** argv) {
 
   const sim::time_ns attack_at = sim::seconds(attack_at_s);
   const sim::time_ns horizon = sim::seconds(duration);
-  const bool tracing = exp::trace_requested(flags);
-  const bool profiling = exp::profile_requested(flags);
 
-  exp::sweep_profile prof;
   const auto rows = exp::run_sweep(
       xs, opts,
       [&](const exp::sweep_point& pt) {
     const cell& c = cells[pt.index];
-    obs::trace_buffer tb;
-    obs::trace_scope scope(tracing ? &tb : nullptr);
     site_plan sites;
     // The bottleneck grows with the farm so the per-session fair share
     // stays put: the sessions axis varies contention structure, not the
     // per-session budget.
     const double path_bps =
         per_session_kbps * 1e3 * static_cast<double>(c.sessions);
-    exp::testbed d(make_config(c.topo, cell_seed(base_seed, c), c.queue,
-                               aqm_base, path_bps, c.cm, cm_params, sites));
+    exp::world_options w;
+    w.seed = cell_seed(base_seed, c);
+    w.cm = c.cm;
+    w.cm_params = cm_params;
+    sim::aqm_config aqm = aqm_base;
+    aqm.discipline = c.queue;
+    exp::testbed d(make_config(c.topo, w, aqm, path_bps, sites));
 
     // Session 0 carries the farm's one misbehaving receiver; every other
     // session is an honest neighbour at the same contested edge.
@@ -336,10 +327,8 @@ int main(int argc, char** argv) {
     row.value("events", static_cast<double>(d.sched().executed_events()));
     row.trace("honest_session0_kbps_series", post.sessions.front().smoothed);
     row.metrics = d.metrics().snapshot();
-    if (tracing) row.trace_blob = tb.serialize();
     return row;
-  },
-      profiling ? &prof : nullptr);
+  });
 
   std::printf("# session farm (%s): topo/qdisc/nN/attack[/cm]\n",
               mode_name.c_str());
@@ -413,8 +402,7 @@ int main(int argc, char** argv) {
                   pairs);
     }
   }
-  exp::maybe_write_json(flags, "fig_session_farm", rows,
-                        profiling ? &prof : nullptr);
+  exp::maybe_write_json(flags, "fig_session_farm", rows, opts);
   exp::maybe_write_trace(flags, rows);
   return 0;
 }

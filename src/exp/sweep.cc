@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "crypto/prng.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/require.h"
 
@@ -62,15 +63,9 @@ sweep_options sweep_options_from_flags(const util::flag_set& flags,
   sweep_options opts;
   opts.jobs = static_cast<int>(flags.i64("jobs"));
   opts.base_seed = base_seed;
+  opts.trace = !flags.str("trace").empty();
+  if (flags.boolean("profile")) opts.profile = std::make_shared<sweep_profile>();
   return opts;
-}
-
-bool trace_requested(const util::flag_set& flags) {
-  return !flags.str("trace").empty();
-}
-
-bool profile_requested(const util::flag_set& flags) {
-  return flags.boolean("profile");
 }
 
 double sweep_row::value_of(const std::string& name) const {
@@ -103,8 +98,8 @@ series column(const std::vector<sweep_row>& rows, const std::string& name) {
 
 std::vector<sweep_row> run_sweep(
     const std::vector<double>& xs, const sweep_options& opts,
-    const std::function<sweep_row(const sweep_point&)>& fn,
-    sweep_profile* profile) {
+    const std::function<sweep_row(const sweep_point&)>& fn) {
+  sweep_profile* const profile = opts.profile.get();
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<sweep_row> rows(xs.size());
   std::atomic<std::size_t> next{0};
@@ -125,7 +120,15 @@ std::vector<sweep_row> run_sweep(
       pt.seed = point_seed(opts.base_seed, i);
       try {
         const auto start = std::chrono::steady_clock::now();
-        sweep_row row = fn(pt);
+        // The sink is installed before fn builds its world: engine
+        // components latch the point's trace buffer at construction.
+        obs::trace_buffer tb;
+        sweep_row row;
+        {
+          const obs::trace_scope scope(opts.trace ? &tb : nullptr);
+          row = fn(pt);
+        }
+        if (opts.trace) row.trace_blob = tb.serialize();
         if (profile != nullptr) {
           const std::chrono::duration<double, std::milli> ms =
               std::chrono::steady_clock::now() - start;
@@ -289,18 +292,13 @@ void write_json(std::ostream& os, const std::string& bench,
 }
 
 void maybe_write_json(const util::flag_set& flags, const std::string& bench,
-                      const std::vector<sweep_row>& rows) {
-  maybe_write_json(flags, bench, rows, nullptr);
-}
-
-void maybe_write_json(const util::flag_set& flags, const std::string& bench,
                       const std::vector<sweep_row>& rows,
-                      const sweep_profile* profile) {
+                      const sweep_options& opts) {
   const std::string path = flags.str("json");
   if (path.empty()) return;
   std::ofstream out(path);
   util::require(out.good(), "sweep: cannot open --json file", path);
-  write_json(out, bench, rows, profile);
+  write_json(out, bench, rows, opts.profile.get());
   out.flush();
   util::require(out.good(), "sweep: write to --json file failed", path);
   std::fprintf(stderr, "wrote %s\n", path.c_str());

@@ -19,6 +19,7 @@
 #include <functional>
 #include <iosfwd>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,9 +42,33 @@ struct sweep_point {
 [[nodiscard]] std::uint64_t point_seed(std::uint64_t base_seed,
                                        std::size_t index);
 
+/// Wall-clock self-profiling of one sweep run (the "engine events/sec per
+/// phase" side of observability). Everything here is measured from the host
+/// clock, so it is nondeterministic by design and only ever emitted under
+/// --profile — the default BENCH output stays byte-identical run to run.
+struct sweep_profile {
+  double wall_ms = 0.0;          // whole-grid wall clock
+  std::size_t points = 0;        // grid points run
+  double points_per_sec = 0.0;   // points / wall seconds
+  /// Sum of the rows' "sched.executed_events" metric (0 when no row
+  /// snapshots it) and the derived whole-run event throughput.
+  double events_executed = 0.0;
+  double events_per_sec = 0.0;
+  /// Per-point wall time, milliseconds.
+  obs::histogram point_ms{
+      {1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0, 30000.0}};
+};
+
 struct sweep_options {
   int jobs = 1;  // worker threads (values < 1 behave like 1)
   std::uint64_t base_seed = 1;
+  /// --trace: run_sweep runs each point inside an obs::trace_scope (so the
+  /// world the point builds latches the sink) and stores the serialized
+  /// buffer in sweep_row::trace_blob.
+  bool trace = false;
+  /// --profile: run_sweep fills this with the run's wall-clock
+  /// self-profiling; null = profiling off.
+  std::shared_ptr<sweep_profile> profile;
 };
 
 /// Registers the sweep-standard flags on a bench's flag set:
@@ -58,20 +83,13 @@ struct sweep_options {
 ///                   back to MCC_LOG_LEVEL, else keeps "warn"
 void add_sweep_flags(util::flag_set& flags);
 
-/// Reads the standard flags back; `base_seed` is the bench's own seed flag.
-/// Also applies --log-level (flag wins over the MCC_LOG_LEVEL env fallback)
-/// to util::set_log_level; a bad level name prints a friendly message and
-/// exits(1), like any other bad flag value (bench-main glue).
+/// Reads the standard flags back (--jobs, --trace, --profile); `base_seed` is
+/// the bench's own seed flag. Also applies --log-level (flag wins over the
+/// MCC_LOG_LEVEL env fallback) to util::set_log_level; a bad level name
+/// prints a friendly message and exits(1), like any other bad flag value
+/// (bench-main glue).
 [[nodiscard]] sweep_options sweep_options_from_flags(
     const util::flag_set& flags, std::uint64_t base_seed);
-
-/// True when the bench was asked to record an event trace. Wired benches
-/// install an obs::trace_scope around each grid point and store the
-/// serialized buffer in sweep_row::trace_blob.
-[[nodiscard]] bool trace_requested(const util::flag_set& flags);
-
-/// True when --profile was set.
-[[nodiscard]] bool profile_requested(const util::flag_set& flags);
 
 /// One grid point's reported results: named scalar values plus named series.
 struct sweep_row {
@@ -86,8 +104,9 @@ struct sweep_row {
   /// serialized as the row's "metrics" object under schema_version 2.
   /// Deterministic — identical across --jobs.
   obs::metric_snapshot metrics;
-  /// Serialized obs::trace_buffer segment ("" = tracing off), merged in row
-  /// order by maybe_write_trace, so the trace file is jobs-invariant too.
+  /// Serialized obs::trace_buffer segment ("" = tracing off; run_sweep fills
+  /// it under sweep_options::trace), merged in row order by
+  /// maybe_write_trace, so the trace file is jobs-invariant too.
   std::string trace_blob;
 
   sweep_row& value(std::string name, double v) {
@@ -110,33 +129,16 @@ struct sweep_row {
 [[nodiscard]] series column(const std::vector<sweep_row>& rows,
                             const std::string& name);
 
-/// Wall-clock self-profiling of one sweep run (the "engine events/sec per
-/// phase" side of observability). Everything here is measured from the host
-/// clock, so it is nondeterministic by design and only ever emitted under
-/// --profile — the default BENCH output stays byte-identical run to run.
-struct sweep_profile {
-  double wall_ms = 0.0;          // whole-grid wall clock
-  std::size_t points = 0;        // grid points run
-  double points_per_sec = 0.0;   // points / wall seconds
-  /// Sum of the rows' "sched.executed_events" metric (0 when no row
-  /// snapshots it) and the derived whole-run event throughput.
-  double events_executed = 0.0;
-  double events_per_sec = 0.0;
-  /// Per-point wall time, milliseconds.
-  obs::histogram point_ms{
-      {1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0, 30000.0}};
-};
-
 /// Runs `fn` once per grid point on opts.jobs worker threads. Results return
 /// in grid order; a row whose x was left unset inherits the point's x. The
 /// first exception thrown by any point is rethrown after the workers join;
-/// points not yet started when a point fails are abandoned. A non-null
-/// `profile` collects wall-clock self-profiling for the run (rows are
-/// unaffected — determinism contracts hold with or without it).
+/// points not yet started when a point fails are abandoned. opts.trace
+/// records each point's event trace into its row; a non-null opts.profile
+/// collects wall-clock self-profiling for the run. Neither changes what `fn`
+/// computes — determinism contracts hold with or without them.
 std::vector<sweep_row> run_sweep(
     const std::vector<double>& xs, const sweep_options& opts,
-    const std::function<sweep_row(const sweep_point&)>& fn,
-    sweep_profile* profile = nullptr);
+    const std::function<sweep_row(const sweep_point&)>& fn);
 
 /// Writes rows as a machine-readable JSON document ("BENCH_<name>.json"),
 /// schema_version 2: per-row "metrics" objects plus an optional document
@@ -147,13 +149,11 @@ void write_json(std::ostream& os, const std::string& bench,
 
 /// Honors a bench's --json flag: empty value = no-op, otherwise writes the
 /// JSON document to the named file (stderr note on success, throws on I/O
-/// failure). The overload with a profile emits the "profile" block when the
-/// pointer is non-null.
-void maybe_write_json(const util::flag_set& flags, const std::string& bench,
-                      const std::vector<sweep_row>& rows);
+/// failure), with the "profile" block when the run that produced `rows`
+/// profiled (opts.profile).
 void maybe_write_json(const util::flag_set& flags, const std::string& bench,
                       const std::vector<sweep_row>& rows,
-                      const sweep_profile* profile);
+                      const sweep_options& opts);
 
 /// Honors a bench's --trace flag: empty value = no-op, otherwise writes the
 /// rows' trace blobs to the named file in row order ("MCCT" container; see

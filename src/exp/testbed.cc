@@ -495,7 +495,8 @@ void testbed::run_until(sim::time_ns until) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario factories
+// Scenario factories: each builds its backbone and returns
+// {world options (the config's base), topology, sender site, receiver site}.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -516,50 +517,28 @@ sim::link_config backbone_link(double bps, sim::time_ns delay,
   return l;
 }
 
-/// Assembles a testbed_config from a topology, the attachment sites, and the
-/// shared attachment-default fields every scenario config carries.
-template <typename Cfg>
-testbed_config scenario(sim::topology_builder topo, std::string sender_site,
-                        std::string receiver_site, const Cfg& cfg) {
-  testbed_config out;
-  out.topology = std::move(topo);
-  out.sender_site = std::move(sender_site);
-  out.receiver_site = std::move(receiver_site);
-  out.access_bps = cfg.access_bps;
-  out.access_delay = cfg.access_delay;
-  out.buffer_bdp = cfg.buffer_bdp;
-  out.base_rtt = cfg.base_rtt;
-  out.access_aqm = cfg.access_aqm;
-  out.interface_keying = cfg.interface_keying;
-  out.probation_memory_slots = cfg.probation_memory_slots;
-  out.cm = cfg.cm;
-  out.cm_params = cfg.cm_params;
-  out.seed = cfg.seed;
-  return out;
-}
-
 }  // namespace
 
 testbed_config dumbbell(const dumbbell_config& cfg) {
   const auto bn = backbone_link(cfg.bottleneck_bps, cfg.bottleneck_delay, cfg);
-  return scenario(sim::dumbbell(bn), "l", "r", cfg);
+  return {cfg, sim::dumbbell(bn), "l", "r"};
 }
 
 testbed_config parking_lot(const parking_lot_config& cfg) {
   const auto bn = backbone_link(cfg.bottleneck_bps, cfg.bottleneck_delay, cfg);
-  return scenario(sim::parking_lot(cfg.bottlenecks, bn), "r0",
-                  "r" + std::to_string(cfg.bottlenecks), cfg);
+  return {cfg, sim::parking_lot(cfg.bottlenecks, bn), "r0",
+          "r" + std::to_string(cfg.bottlenecks)};
 }
 
 testbed_config star(const star_config& cfg) {
   const auto spoke_link = backbone_link(cfg.spoke_bps, cfg.spoke_delay, cfg);
-  return scenario(sim::star(cfg.spokes, spoke_link), "hub", "s1", cfg);
+  return {cfg, sim::star(cfg.spokes, spoke_link), "hub", "s1"};
 }
 
 testbed_config balanced_tree(const tree_config& cfg) {
   const auto edge = backbone_link(cfg.edge_bps, cfg.edge_delay, cfg);
-  return scenario(sim::balanced_tree(cfg.depth, cfg.fanout, edge), "root",
-                  "t" + std::to_string(cfg.depth) + "_0", cfg);
+  return {cfg, sim::balanced_tree(cfg.depth, cfg.fanout, edge), "root",
+          "t" + std::to_string(cfg.depth) + "_0"};
 }
 
 double average_receiver_kbps(flid_session& session, sim::time_ns t0,
@@ -676,27 +655,39 @@ sim::aqm_config aqm_config_from_flags(const util::flag_set& flags) {
   return cfg;
 }
 
-void add_cm_flags(util::flag_set& flags, const char* def) {
-  flags.add_enum("cm", def,
-                 "shared congestion manager across co-located sessions: both "
-                 "sweeps it as a grid axis",
+// ---------------------------------------------------------------------------
+// World-switch flag glue
+// ---------------------------------------------------------------------------
+
+void add_axis_flag(util::flag_set& flags, const char* name, const char* def,
+                   const std::string& help) {
+  flags.add_enum(name, def, help + ": both sweeps it as a grid axis",
                  {"off", "on", "both"});
+}
+
+void add_probation_memory_slots_flag(util::flag_set& flags) {
+  flags.add("probation-memory-slots", "8",
+            "probation-memory window length in slots when on");
+}
+
+int probation_memory_slots_from_flags(const util::flag_set& flags) {
+  const std::int64_t slots = flags.i64("probation-memory-slots");
+  if (slots < 1 || slots > 1 << 20) {
+    std::fprintf(stderr,
+                 "bad value for --probation-memory-slots: '%lld' (expected a "
+                 "slot count in [1, 2^20])\n",
+                 static_cast<long long>(slots));
+    std::exit(1);
+  }
+  return static_cast<int>(slots);
+}
+
+void add_cm_flags(util::flag_set& flags) {
   flags.add("cm-entries", "64", "cm: LRU state-cache capacity, entries");
   flags.add("cm-aging", "8", "cm: staleness window, slots");
   flags.add("cm-threshold", "0.25",
             "cm: congestion EWMA level the cap binds above");
   flags.add("cm-headroom", "1.3", "cm: fair-rate multiplier for the cap");
-}
-
-std::vector<bool> cm_axis_from_flags(const util::flag_set& flags) {
-  const std::string v = flags.str("cm");
-  if (v == "off") return {false};
-  if (v == "on") return {true};
-  if (v == "both") return {false, true};
-  std::fprintf(stderr,
-               "bad value for --cm: '%s' (expected off, on, or both)\n",
-               v.c_str());
-  std::exit(1);
 }
 
 cm::cm_config cm_config_from_flags(const util::flag_set& flags) {
@@ -741,56 +732,6 @@ cm::cm_config cm_config_from_flags(const util::flag_set& flags) {
   }
   cfg.headroom = headroom;
   return cfg;
-}
-
-void add_interface_keying_flag(util::flag_set& flags, const char* def) {
-  flags.add_enum("interface-keying", def,
-                 "collusion countermeasure (section 4.2): both sweeps it as "
-                 "a grid axis",
-                 {"off", "on", "both"});
-}
-
-std::vector<bool> interface_keying_axis_from_flags(
-    const util::flag_set& flags) {
-  const std::string v = flags.str("interface-keying");
-  if (v == "off") return {false};
-  if (v == "on") return {true};
-  if (v == "both") return {false, true};
-  std::fprintf(stderr,
-               "bad value for --interface-keying: '%s' (expected off, on, or "
-               "both)\n",
-               v.c_str());
-  std::exit(1);
-}
-
-void add_probation_memory_flag(util::flag_set& flags, const char* def) {
-  flags.add_enum("probation-memory", def,
-                 "router probation memory (adaptive_churn countermeasure): "
-                 "both sweeps it as a grid axis",
-                 {"off", "on", "both"});
-  flags.add("probation-memory-slots", "8",
-            "probation-memory window length in slots when on");
-}
-
-std::vector<int> probation_memory_axis_from_flags(const util::flag_set& flags) {
-  const std::int64_t slots = flags.i64("probation-memory-slots");
-  if (slots < 1 || slots > 1 << 20) {
-    std::fprintf(stderr,
-                 "bad value for --probation-memory-slots: '%lld' (expected a "
-                 "slot count in [1, 2^20])\n",
-                 static_cast<long long>(slots));
-    std::exit(1);
-  }
-  const std::string v = flags.str("probation-memory");
-  const int on = static_cast<int>(slots);
-  if (v == "off") return {0};
-  if (v == "on") return {on};
-  if (v == "both") return {0, on};
-  std::fprintf(stderr,
-               "bad value for --probation-memory: '%s' (expected off, on, or "
-               "both)\n",
-               v.c_str());
-  std::exit(1);
 }
 
 // ---------------------------------------------------------------------------

@@ -82,22 +82,23 @@ struct flow_options {
   std::string dst_at;                // empty = default receiver site
 };
 
-/// Everything a testbed needs to know: the topology description plus the
-/// attachment defaults shared by all hosts.
-struct testbed_config {
-  sim::topology_builder topology;
-  /// Default attachment routers; empty = first / last declared router.
-  std::string sender_site;
-  std::string receiver_site;
+/// The world switchboard: every world-wide knob a scenario config and the
+/// testbed share, declared once. testbed_config and each scenario config
+/// (dumbbell_config, parking_lot_config, star_config, tree_config) inherit
+/// it, so a scenario factory forwards all of it in one step and a bench
+/// builds one per grid cell and starts its scenario config from it
+/// (`exp::tree_config cfg{w};` — every scenario member, `aqm{}` included,
+/// has an initializer so that form is -Wmissing-field-initializers clean).
+struct world_options {
+  /// Default access link of every attached host.
   double access_bps = 10e6;
   sim::time_ns access_delay = sim::milliseconds(10);
-  /// Queue capacity of access links in bandwidth-delay products
-  /// (link rate x base_rtt).
+  /// Queue capacity of access and backbone links in bandwidth-delay
+  /// products (link rate x base_rtt).
   double buffer_bdp = 2.0;
   sim::time_ns base_rtt = sim::milliseconds(80);
   /// Queue discipline of access links (drop-tail by default — backbone AQM
-  /// is configured per scenario/link). An unset aqm.seed inherits the
-  /// testbed seed.
+  /// is configured per scenario/link). An unset aqm.seed inherits `seed`.
   sim::aqm_config access_aqm;
   /// Interface keying, the collusion countermeasure of paper section 4.2:
   /// every SIGMA edge agent validates per-interface-perturbed keys and
@@ -121,7 +122,18 @@ struct testbed_config {
   bool cm = false;
   /// Parameters of the shared manager when `cm` is on.
   cm::cm_config cm_params;
+  /// Root of the world's seed chain; unset AQM seeds inherit it, so RED
+  /// coin-flips follow the run's seed sweep.
   std::uint64_t seed = 1;
+};
+
+/// Everything a testbed needs to know: the topology description, the
+/// attachment defaults, and the world switches.
+struct testbed_config : world_options {
+  sim::topology_builder topology;
+  /// Default attachment routers; empty = first / last declared router.
+  std::string sender_site;
+  std::string receiver_site;
 };
 
 /// One aggregated population attached to a session: the aggregate (member
@@ -324,26 +336,12 @@ class testbed {
 /// The single-bottleneck topology of paper section 5.1. Defaults follow the
 /// paper: 1 Mbps / 20 ms bottleneck, 10 Mbps / 10 ms access links, queues of
 /// two bandwidth-delay products at an 80 ms base RTT.
-struct dumbbell_config {
+struct dumbbell_config : world_options {
   double bottleneck_bps = 1e6;
   sim::time_ns bottleneck_delay = sim::milliseconds(20);
-  double access_bps = 10e6;
-  sim::time_ns access_delay = sim::milliseconds(10);
-  double buffer_bdp = 2.0;
-  sim::time_ns base_rtt = sim::milliseconds(80);
-  std::uint64_t seed = 1;
   /// Bottleneck queue discipline. An unset aqm.seed inherits the scenario
   /// seed, so RED coin-flips follow the run's seed sweep.
-  sim::aqm_config aqm;
-  /// Access-link queue discipline (default drop-tail).
-  sim::aqm_config access_aqm;
-  /// Interface keying (testbed_config::interface_keying).
-  bool interface_keying = false;
-  /// Router probation memory (testbed_config::probation_memory_slots).
-  int probation_memory_slots = 0;
-  /// Shared congestion manager (testbed_config::cm / cm_params).
-  bool cm = false;
-  cm::cm_config cm_params;
+  sim::aqm_config aqm{};
 };
 
 /// Dumbbell testbed: senders attach at "l", receivers at "r".
@@ -352,42 +350,22 @@ struct dumbbell_config {
 /// k bottlenecks in series (routers "r0".."r<k>"); senders default to "r0",
 /// receivers to the far end "r<k>", so a default session crosses every
 /// bottleneck while cross traffic can load any single one.
-struct parking_lot_config {
+struct parking_lot_config : world_options {
   int bottlenecks = 2;
   double bottleneck_bps = 1e6;
   sim::time_ns bottleneck_delay = sim::milliseconds(20);
-  double access_bps = 10e6;
-  sim::time_ns access_delay = sim::milliseconds(10);
-  double buffer_bdp = 2.0;
-  sim::time_ns base_rtt = sim::milliseconds(80);
-  std::uint64_t seed = 1;
-  sim::aqm_config aqm;         // backbone queue discipline
-  sim::aqm_config access_aqm;  // access-link queue discipline (drop-tail)
-  bool interface_keying = false;  // testbed_config::interface_keying
-  int probation_memory_slots = 0;  // testbed_config::probation_memory_slots
-  bool cm = false;                // testbed_config::cm
-  cm::cm_config cm_params;        // testbed_config::cm_params
+  sim::aqm_config aqm{};  // backbone queue discipline
 };
 
 [[nodiscard]] testbed_config parking_lot(const parking_lot_config& cfg = {});
 
 /// Hub-and-spoke: senders default to the hub, receivers to spoke "s1";
 /// receivers placed on distinct spokes contend only on their own spoke link.
-struct star_config {
+struct star_config : world_options {
   int spokes = 4;
   double spoke_bps = 1e6;
   sim::time_ns spoke_delay = sim::milliseconds(20);
-  double access_bps = 10e6;
-  sim::time_ns access_delay = sim::milliseconds(10);
-  double buffer_bdp = 2.0;
-  sim::time_ns base_rtt = sim::milliseconds(80);
-  std::uint64_t seed = 1;
-  sim::aqm_config aqm;         // backbone queue discipline
-  sim::aqm_config access_aqm;  // access-link queue discipline (drop-tail)
-  bool interface_keying = false;  // testbed_config::interface_keying
-  int probation_memory_slots = 0;  // testbed_config::probation_memory_slots
-  bool cm = false;                // testbed_config::cm
-  cm::cm_config cm_params;        // testbed_config::cm_params
+  sim::aqm_config aqm{};  // backbone queue discipline
 };
 
 [[nodiscard]] testbed_config star(const star_config& cfg = {});
@@ -395,22 +373,12 @@ struct star_config {
 /// Balanced distribution tree: senders default to "root", receivers to the
 /// first leaf "t<depth>_0"; point-to-multipoint sessions fan out down the
 /// tree and each receiver sees only its own root-to-leaf path.
-struct tree_config {
+struct tree_config : world_options {
   int depth = 2;
   int fanout = 2;
   double edge_bps = 1e6;
   sim::time_ns edge_delay = sim::milliseconds(10);
-  double access_bps = 10e6;
-  sim::time_ns access_delay = sim::milliseconds(10);
-  double buffer_bdp = 2.0;
-  sim::time_ns base_rtt = sim::milliseconds(80);
-  std::uint64_t seed = 1;
-  sim::aqm_config aqm;         // backbone queue discipline
-  sim::aqm_config access_aqm;  // access-link queue discipline (drop-tail)
-  bool interface_keying = false;  // testbed_config::interface_keying
-  int probation_memory_slots = 0;  // testbed_config::probation_memory_slots
-  bool cm = false;                // testbed_config::cm
-  cm::cm_config cm_params;        // testbed_config::cm_params
+  sim::aqm_config aqm{};  // backbone queue discipline
 };
 
 [[nodiscard]] testbed_config balanced_tree(const tree_config& cfg = {});
@@ -458,51 +426,47 @@ void add_aqm_flags(util::flag_set& flags);
 [[nodiscard]] std::vector<sim::qdisc> qdisc_list_from_flags(
     const util::flag_set& flags);
 
-/// Registers the shared interface-keying flag on a bench's flag set:
-///   --interface-keying V   off | on | both ("both" sweeps the countermeasure
-///                          as a grid axis: one cell without, one with)
-/// `def` is the bench's default (the matrix defaults to "both" so the
-/// countermeasure study runs out of the box; scenario benches default off).
-void add_interface_keying_flag(util::flag_set& flags,
-                               const char* def = "off");
+// ---------------------------------------------------------------------------
+// World-switch flag glue: each countermeasure of world_options is one
+// off|on|both flag; "both" sweeps it as a grid axis (one cell without, one
+// with), so a bench builds one world_options per cell.
+// ---------------------------------------------------------------------------
 
-/// Decodes --interface-keying into the axis values to sweep, in off-first
-/// order ({false}, {true}, or {false, true}). An unknown value prints a
+/// Registers an off|on|both switch flag (the flag parser rejects any other
+/// value). `def` is the bench's default: the attack matrix defaults its
+/// countermeasures to "both" so the study runs out of the box, scenario
+/// benches default off.
+void add_axis_flag(util::flag_set& flags, const char* name, const char* def,
+                   const std::string& help);
+
+/// Decodes an add_axis_flag flag into the axis values to sweep, in off-first
+/// order: {off}, {on}, or {off, on}.
+template <typename T>
+[[nodiscard]] std::vector<T> axis_from_flags(const util::flag_set& flags,
+                                             const char* name, T off, T on) {
+  const std::string v = flags.str(name);
+  if (v == "off") return {off};
+  if (v == "on") return {on};
+  return {off, on};
+}
+
+/// Registers --probation-memory-slots N, the world_options::
+/// probation_memory_slots value of a --probation-memory cell that is on
+/// (default 8).
+void add_probation_memory_slots_flag(util::flag_set& flags);
+
+/// Decodes --probation-memory-slots; a count outside [1, 2^20] prints a
 /// friendly message and exits(1) — bench-main glue, like the AQM flags.
-[[nodiscard]] std::vector<bool> interface_keying_axis_from_flags(
+[[nodiscard]] int probation_memory_slots_from_flags(
     const util::flag_set& flags);
 
-/// Registers the shared probation-memory flags on a bench's flag set:
-///   --probation-memory V       off | on | both ("both" sweeps the
-///                              countermeasure as a grid axis)
-///   --probation-memory-slots N window length in slots when on (default 8)
-/// `def` is the bench's default (the matrix defaults to "both" so the
-/// churn-countermeasure study runs out of the box; scenario benches default
-/// off).
-void add_probation_memory_flag(util::flag_set& flags, const char* def = "off");
-
-/// Decodes the probation-memory flags into the axis of
-/// testbed_config::probation_memory_slots values to sweep, in off-first order
-/// ({0}, {N}, or {0, N}). Bad values print a friendly message and exit(1) —
-/// bench-main glue, like the AQM flags.
-[[nodiscard]] std::vector<int> probation_memory_axis_from_flags(
-    const util::flag_set& flags);
-
-/// Registers the shared congestion-manager flags on a bench's flag set:
-///   --cm V           off | on | both ("both" sweeps the shared manager as a
-///                    grid axis: one cell without, one with)
+/// Registers the parameter flags of the shared congestion manager
+/// (world_options::cm_params), read when a --cm cell is on:
 ///   --cm-entries N   LRU state-cache capacity
 ///   --cm-aging N     staleness window, slots
 ///   --cm-threshold F congestion EWMA level the cap binds above
 ///   --cm-headroom F  fair-rate multiplier for the level cap
-/// `def` is the bench's default ("off" keeps historical single-manager
-/// benches byte-identical; fig_session_farm defaults to "both").
-void add_cm_flags(util::flag_set& flags, const char* def = "off");
-
-/// Decodes --cm into the axis values to sweep, in off-first order ({false},
-/// {true}, or {false, true}). Bad values print a friendly message and
-/// exit(1) — bench-main glue, like the AQM flags.
-[[nodiscard]] std::vector<bool> cm_axis_from_flags(const util::flag_set& flags);
+void add_cm_flags(util::flag_set& flags);
 
 /// Decodes the --cm-* parameter flags into a cm_config, with the friendly
 /// bad-flag UX on out-of-range values.

@@ -71,8 +71,8 @@ class flag_set {
     std::string default_value;
     std::string help;
     kind k = kind::other;
-    std::vector<std::string> allowed;  // enumerated only
-    bool csv_list = false;             // enumerated: value is a CSV of allowed
+    std::vector<std::string> allowed{};  // enumerated only
+    bool csv_list = false;  // enumerated: value is a CSV of allowed
   };
 
   bool set_value(const std::string& name, const std::string& value);

@@ -294,9 +294,7 @@ TEST(testbed_trace, engine_emits_all_three_track_families) {
 // across --jobs, and the JSON writer emits schema 2.
 // ---------------------------------------------------------------------------
 
-exp::sweep_row tiny_world_row(const exp::sweep_point& pt, bool tracing) {
-  obs::trace_buffer tb;
-  obs::trace_scope scope(tracing ? &tb : nullptr);
+exp::sweep_row tiny_world_row(const exp::sweep_point& pt) {
   exp::dumbbell_config cfg;
   cfg.seed = pt.seed;
   exp::testbed d(exp::dumbbell(cfg));
@@ -305,15 +303,14 @@ exp::sweep_row tiny_world_row(const exp::sweep_point& pt, bool tracing) {
   exp::sweep_row row;
   row.value("events", static_cast<double>(d.sched().executed_events()));
   row.metrics = d.metrics().snapshot();
-  if (tracing) row.trace_blob = tb.serialize();
   return row;
 }
 
-std::string sweep_json(const exp::sweep_options& opts, bool tracing) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0};
-  const auto rows = exp::run_sweep(xs, opts, [tracing](const auto& pt) {
-    return tiny_world_row(pt, tracing);
-  });
+std::vector<exp::sweep_row> tiny_sweep(const exp::sweep_options& opts) {
+  return exp::run_sweep({1.0, 2.0, 3.0}, opts, tiny_world_row);
+}
+
+std::string sweep_json(const std::vector<exp::sweep_row>& rows) {
   std::ostringstream os;
   exp::write_json(os, "obs_test", rows);
   return os.str();
@@ -323,16 +320,50 @@ TEST(sweep_obs, rows_with_metrics_and_traces_are_jobs_invariant) {
   exp::sweep_options serial;
   serial.jobs = 1;
   serial.base_seed = 11;
-  exp::sweep_options threaded;
+  serial.trace = true;
+  exp::sweep_options threaded = serial;
   threaded.jobs = 3;
-  threaded.base_seed = 11;
-  EXPECT_EQ(sweep_json(serial, true), sweep_json(threaded, true));
+  const auto a = tiny_sweep(serial);
+  const auto b = tiny_sweep(threaded);
+  EXPECT_EQ(sweep_json(a), sweep_json(b));
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].trace_blob, b[i].trace_blob) << "row " << i;
+  }
+}
+
+// The sweep runner owns --trace: with sweep_options::trace on, every point's
+// world is built inside a trace scope and its row carries the serialized
+// buffer — exactly what a trace_scope installed by the point function itself
+// records. Off, rows carry no blob and the JSON is unchanged.
+TEST(sweep_obs, run_sweep_records_each_points_trace_when_asked) {
+  exp::sweep_options opts;
+  opts.base_seed = 11;
+  const auto untraced = tiny_sweep(opts);
+  opts.trace = true;
+  const auto traced = tiny_sweep(opts);
+  ASSERT_EQ(traced.size(), 3u);
+  for (std::size_t i = 0; i < traced.size(); ++i) {
+    EXPECT_TRUE(untraced[i].trace_blob.empty()) << "row " << i;
+    exp::sweep_point pt;
+    pt.index = i;
+    pt.seed = exp::point_seed(opts.base_seed, i);
+    obs::trace_buffer tb;
+    {
+      obs::trace_scope scope(&tb);
+      (void)tiny_world_row(pt);
+    }
+    ASSERT_FALSE(tb.empty());
+    EXPECT_EQ(traced[i].trace_blob, tb.serialize()) << "row " << i;
+  }
+  EXPECT_EQ(sweep_json(untraced), sweep_json(traced))
+      << "tracing must not perturb the rows";
 }
 
 TEST(sweep_obs, json_document_carries_schema_version_2_and_metrics) {
   exp::sweep_options opts;
   opts.base_seed = 11;
-  const std::string json = sweep_json(opts, false);
+  const std::string json = sweep_json(tiny_sweep(opts));
   EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"metrics\": {"), std::string::npos);
   EXPECT_NE(json.find("\"sched.executed_events\""), std::string::npos);
@@ -354,11 +385,11 @@ TEST(sweep_obs, metric_of_looks_up_flattened_names) {
 TEST(sweep_obs, profile_block_reports_wall_clock_and_event_totals) {
   exp::sweep_options opts;
   opts.base_seed = 11;
-  exp::sweep_profile prof;
+  opts.profile = std::make_shared<exp::sweep_profile>();
+  const exp::sweep_profile& prof = *opts.profile;
   const std::vector<double> xs = {1.0, 2.0};
   const auto rows = exp::run_sweep(
-      xs, opts, [](const auto& pt) { return tiny_world_row(pt, false); },
-      &prof);
+      xs, opts, tiny_world_row);
   EXPECT_EQ(prof.points, 2u);
   EXPECT_GT(prof.wall_ms, 0.0);
   EXPECT_GT(prof.points_per_sec, 0.0);

@@ -163,7 +163,9 @@ TEST(zipf_sampler, pmf_is_a_normalized_decaying_distribution) {
   for (int k = 1; k <= 10; ++k) {
     const double p = z.pmf(k);
     EXPECT_GT(p, 0.0) << "k=" << k;
-    if (k > 1) EXPECT_LT(p, z.pmf(k - 1)) << "k=" << k;
+    if (k > 1) {
+      EXPECT_LT(p, z.pmf(k - 1)) << "k=" << k;
+    }
     total += p;
   }
   EXPECT_NEAR(total, 1.0, 1e-12);

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "adversary/adversary.h"
+#include "util/flags.h"
 
 namespace mcc::exp {
 namespace {
@@ -432,6 +437,154 @@ TEST(session_rollup_stats, smoothing_state_never_leaks_across_sessions) {
   // And the smoother itself starts fresh per call: first output == first raw.
   ASSERT_FALSE(ab.sessions[0].smoothed.empty());
   EXPECT_DOUBLE_EQ(ab.sessions[0].smoothed.front().second, 100.0);
+}
+
+// ---------------------------------------------------------------------------
+// world_options forwarding: every scenario factory hands each world-wide
+// field to the testbed_config it returns.
+// ---------------------------------------------------------------------------
+
+world_options non_default_world() {
+  world_options w;
+  w.access_bps = 3e6;
+  w.access_delay = sim::milliseconds(7);
+  w.buffer_bdp = 3.5;
+  w.base_rtt = sim::milliseconds(120);
+  w.access_aqm.discipline = sim::qdisc::red;
+  w.access_aqm.seed = 99;
+  w.interface_keying = true;
+  w.probation_memory_slots = 6;
+  w.cm = true;
+  w.cm_params.max_entries = 17;
+  w.cm_params.aging_slots = 5;
+  w.cm_params.congestion_threshold = 0.4;
+  w.cm_params.headroom = 2.5;
+  w.seed = 4242;
+  return w;
+}
+
+/// A scenario factory fed a world and a backbone queue discipline.
+template <typename Cfg, testbed_config (*Make)(const Cfg&)>
+testbed_config make_scenario(const world_options& w,
+                             const sim::aqm_config& backbone) {
+  Cfg cfg{w};
+  cfg.aqm = backbone;
+  return Make(cfg);
+}
+
+struct factory_case {
+  const char* name;
+  testbed_config (*make)(const world_options&, const sim::aqm_config&);
+};
+
+void PrintTo(const factory_case& c, std::ostream* os) { *os << c.name; }
+
+class scenario_forwarding : public ::testing::TestWithParam<factory_case> {};
+
+TEST_P(scenario_forwarding, carries_every_world_option) {
+  const world_options w = non_default_world();
+  const testbed_config cfg = GetParam().make(w, sim::aqm_config{});
+  EXPECT_DOUBLE_EQ(cfg.access_bps, w.access_bps);
+  EXPECT_EQ(cfg.access_delay, w.access_delay);
+  EXPECT_DOUBLE_EQ(cfg.buffer_bdp, w.buffer_bdp);
+  EXPECT_EQ(cfg.base_rtt, w.base_rtt);
+  EXPECT_EQ(cfg.access_aqm.discipline, sim::qdisc::red);
+  EXPECT_EQ(cfg.access_aqm.seed, 99u);
+  EXPECT_TRUE(cfg.interface_keying);
+  EXPECT_EQ(cfg.probation_memory_slots, 6);
+  EXPECT_TRUE(cfg.cm);
+  EXPECT_EQ(cfg.cm_params.max_entries, 17);
+  EXPECT_EQ(cfg.cm_params.aging_slots, 5);
+  EXPECT_DOUBLE_EQ(cfg.cm_params.congestion_threshold, 0.4);
+  EXPECT_DOUBLE_EQ(cfg.cm_params.headroom, 2.5);
+  EXPECT_EQ(cfg.seed, 4242u);
+
+  // An unset backbone aqm.seed still inherits the scenario seed: the
+  // backbone draws the same per-link stream as one pinned to it explicitly
+  // (links mix their index into the configured seed), and a different one
+  // from a backbone pinned elsewhere.
+  const auto backbone_seed = [&](std::uint64_t pinned) {
+    sim::aqm_config aqm;
+    aqm.seed = pinned;
+    testbed d(GetParam().make(w, aqm));
+    return d.bottleneck()->config().aqm.seed;
+  };
+  testbed d(cfg);
+  EXPECT_EQ(d.bottleneck()->config().aqm.seed, backbone_seed(w.seed));
+  EXPECT_NE(d.bottleneck()->config().aqm.seed, backbone_seed(w.seed + 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    factories, scenario_forwarding,
+    ::testing::Values(
+        factory_case{"dumbbell", make_scenario<dumbbell_config, dumbbell>},
+        factory_case{"parking_lot",
+                     make_scenario<parking_lot_config, parking_lot>},
+        factory_case{"star", make_scenario<star_config, star>},
+        factory_case{"balanced_tree",
+                     make_scenario<tree_config, balanced_tree>}),
+    [](const ::testing::TestParamInfo<factory_case>& info) {
+      return std::string(info.param.name);
+    });
+
+// ---------------------------------------------------------------------------
+// World-switch flags: one off|on|both decoder for every countermeasure axis.
+// ---------------------------------------------------------------------------
+
+TEST(axis_flags, off_on_both_decode_in_off_first_order) {
+  struct axis_case {
+    const char* value;
+    std::vector<bool> keying;
+    std::vector<int> memory;
+  };
+  const axis_case cases[] = {
+      {"off", {false}, {0}},
+      {"on", {true}, {5}},
+      {"both", {false, true}, {0, 5}},
+  };
+  for (const axis_case& c : cases) {
+    util::flag_set flags("test");
+    add_axis_flag(flags, "interface-keying", "off", "keying");
+    add_axis_flag(flags, "probation-memory", "off", "memory");
+    add_probation_memory_slots_flag(flags);
+    const std::string keying = std::string("--interface-keying=") + c.value;
+    const std::string memory = std::string("--probation-memory=") + c.value;
+    const char* argv[] = {"prog", keying.c_str(), memory.c_str(),
+                          "--probation-memory-slots=5"};
+    ASSERT_TRUE(flags.parse(4, argv)) << c.value;
+    EXPECT_EQ(axis_from_flags(flags, "interface-keying", false, true),
+              c.keying)
+        << c.value;
+    EXPECT_EQ(axis_from_flags(flags, "probation-memory", 0,
+                              probation_memory_slots_from_flags(flags)),
+              c.memory)
+        << c.value;
+  }
+}
+
+TEST(axis_flags, default_applies_and_other_values_fail_the_parse) {
+  util::flag_set flags("test");
+  add_axis_flag(flags, "cm", "both", "manager");
+  const char* none[] = {"prog"};
+  ASSERT_TRUE(flags.parse(1, none));
+  EXPECT_EQ(axis_from_flags(flags, "cm", false, true),
+            (std::vector<bool>{false, true}));
+
+  util::flag_set bad("test");
+  add_axis_flag(bad, "cm", "off", "manager");
+  const char* argv[] = {"prog", "--cm=maybe"};
+  EXPECT_FALSE(bad.parse(2, argv));
+}
+
+TEST(axis_flags, zero_probation_memory_slots_is_rejected_friendly) {
+  util::flag_set flags("test");
+  add_probation_memory_slots_flag(flags);
+  const char* argv[] = {"prog", "--probation-memory-slots=0"};
+  ASSERT_TRUE(flags.parse(2, argv));
+  EXPECT_EXIT((void)probation_memory_slots_from_flags(flags),
+              ::testing::ExitedWithCode(1),
+              "bad value for --probation-memory-slots: '0' \\(expected a "
+              "slot count in \\[1, 2\\^20\\]\\)");
 }
 
 }  // namespace

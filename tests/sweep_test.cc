@@ -170,6 +170,28 @@ TEST(sweep, flags_register_and_read_back) {
   EXPECT_EQ(opts.jobs, 4);
   EXPECT_EQ(opts.base_seed, 7u);
   EXPECT_EQ(flags.str("json"), "out.json");
+  EXPECT_FALSE(opts.trace) << "tracing is off unless --trace names a file";
+  EXPECT_EQ(opts.profile, nullptr) << "profiling is off by default";
+}
+
+TEST(sweep, trace_and_profile_flags_switch_the_runner_on) {
+  util::flag_set flags("test");
+  add_sweep_flags(flags);
+  const char* argv[] = {"prog", "--trace=out.trace", "--profile=true"};
+  ASSERT_TRUE(flags.parse(3, argv));
+  const sweep_options opts = sweep_options_from_flags(flags, 1);
+  EXPECT_TRUE(opts.trace);
+  ASSERT_NE(opts.profile, nullptr);
+
+  const auto rows = run_sweep(grid(3), opts, [](const sweep_point&) {
+    return sweep_row{};
+  });
+  EXPECT_EQ(opts.profile->points, 3u);
+  EXPECT_EQ(opts.profile->point_ms.count(), 3u);
+  for (const sweep_row& row : rows) {
+    EXPECT_FALSE(row.trace_blob.empty())
+        << "every traced point carries a segment, even an empty one";
+  }
 }
 
 }  // namespace
