@@ -1,11 +1,16 @@
 // Microbenchmarks for the simulator substrate: event scheduling throughput
-// (events/sec), multicast fan-out cost and unicast packet hops (packets/sec),
-// and whole-scenario figures. items_per_second in the output is the headline
-// number for all but the whole-scenario ones.
+// (events/sec) alone and under paced FLID senders, multicast fan-out cost and
+// unicast packet hops (packets/sec), and whole-scenario figures.
+// items_per_second in the output is the headline number for all but the
+// whole-scenario ones.
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "adversary/adversary.h"
 #include "exp/testbed.h"
+#include "flid/flid_sender.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
 
@@ -188,6 +193,50 @@ static void bm_link_hop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(bm_link_hop)->Arg(16)->Arg(1024);
+
+static void bm_paced_senders(benchmark::State& state) {
+  // Sender-side pacing: N plain 10-group FLID senders on one host, each
+  // pacing about 400 packets per 500 ms slot, over two 10 Gbps hops into a
+  // sink host joined to every group. Each iteration runs one more slot; one
+  // item = one executed event (sends, link hops, slot boundaries).
+  const int sessions = static_cast<int>(state.range(0));
+  sim::scheduler s;
+  sim::network net(s);
+  const sim::node_id src = net.add_host("src");
+  const sim::node_id rtr = net.add_router("rtr");
+  const sim::node_id dst = net.add_host("dst");
+  sim::link_config fast;
+  fast.bps = 10e9;
+  fast.delay = sim::microseconds(100);
+  net.connect(src, rtr, fast);
+  net.connect(rtr, dst, fast);
+  net.finalize_routing();
+  counting_sink sink;
+  net.get(dst)->add_agent(&sink);
+  std::vector<std::unique_ptr<flid::flid_sender>> senders;
+  for (int i = 0; i < sessions; ++i) {
+    flid::flid_config cfg;
+    cfg.session_id = i + 1;
+    cfg.group_addr_base = 1000 + 100 * i;
+    for (int g = 1; g <= cfg.num_groups; ++g) {
+      net.get(dst)->host_join(cfg.group(g));
+      net.get(rtr)->graft(cfg.group(g), net.next_hop(rtr, dst));
+    }
+    senders.push_back(std::make_unique<flid::flid_sender>(
+        net, src, cfg, static_cast<std::uint64_t>(i) + 1));
+    senders.back()->start(0);
+  }
+  const sim::time_ns slot = flid::flid_config{}.slot_duration;
+  s.run_until(slot);  // first slot: buffers and rings grow
+  const std::uint64_t events_before = s.executed_events();
+  for (auto _ : state) s.run_until(s.now() + slot);
+  benchmark::DoNotOptimize(sink.received);
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(s.executed_events() - events_before));
+  state.counters["peak_pending"] =
+      static_cast<double>(s.max_pending_events());
+}
+BENCHMARK(bm_paced_senders)->Arg(1)->Arg(8)->Arg(64);
 
 static void bm_tcp_over_dumbbell(benchmark::State& state) {
   // Cost of simulating one second of a saturated 10 Mbps TCP transfer.

@@ -13,7 +13,10 @@ sigma_ctrl_emitter::sigma_ctrl_emitter(sim::network& net,
       slot_duration_(slot_duration),
       key_bits_(key_bits),
       cfg_(cfg),
-      code_(cfg.data_shards, cfg.parity_shards) {
+      code_(cfg.data_shards, cfg.parity_shards),
+      series_(net.sched(), [this](std::size_t k) {
+        net_.get(host_)->send(std::move(packets_[k]));
+      }) {
   util::require(!groups_.empty(), "sigma_ctrl_emitter: no groups");
 }
 
@@ -41,8 +44,10 @@ void sigma_ctrl_emitter::emit_block(const sigma_key_block& block,
   const int total = static_cast<int>(codeword.size());
 
   // Spread the special packets evenly across the slot so a short burst of
-  // congestion cannot erase the whole block.
+  // congestion cannot erase the whole block. They go out through series_
+  // (one lane: the times increase), which needs the previous block sent.
   const sim::time_ns slot_start = current_slot * slot_duration_;
+  packets_.clear();
   for (int i = 0; i < total; ++i) {
     sim::sigma_ctrl hdr;
     hdr.session_id = block.session_id;
@@ -67,13 +72,11 @@ void sigma_ctrl_emitter::emit_block(const sigma_key_block& block,
     stats_.header_bytes += cfg_.ctrl_header_bytes;
     ++stats_.ctrl_packets;
 
-    const sim::time_ns when =
-        slot_start +
-        (2 * static_cast<sim::time_ns>(i) + 1) * slot_duration_ / (2 * total);
-    net_.sched().at(when, [this, p = std::move(p)]() mutable {
-      net_.get(host_)->send(std::move(p));
-    });
+    series_.add(slot_start + (2 * static_cast<sim::time_ns>(i) + 1) *
+                                 slot_duration_ / (2 * total));
+    packets_.push_back(std::move(p));
   }
+  series_.schedule();
 }
 
 }  // namespace mcc::core

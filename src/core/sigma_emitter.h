@@ -12,6 +12,7 @@
 #include "core/sigma_wire.h"
 #include "crypto/rs_code.h"
 #include "sim/network.h"
+#include "sim/scheduler.h"
 
 namespace mcc::core {
 
@@ -65,6 +66,9 @@ class sigma_ctrl_emitter {
   sigma_emitter_config cfg_;
   crypto::rs_code code_;
   counters stats_;
+  /// The last block's special packets, sent by series_ one by one.
+  std::vector<sim::packet> packets_;
+  sim::event_series series_;
 };
 
 }  // namespace mcc::core

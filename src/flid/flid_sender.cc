@@ -20,7 +20,15 @@ sim::session_announcement flid_config::announcement() const {
 
 flid_sender::flid_sender(sim::network& net, sim::node_id host,
                          const flid_config& cfg, std::uint64_t seed)
-    : net_(net), host_(host), cfg_(cfg), rng_(seed) {
+    : net_(net),
+      host_(host),
+      cfg_(cfg),
+      rng_(seed),
+      series_(net.sched(), [this](std::size_t k) {
+        const paced_send s = sends_[k];
+        send_packet(slot_, s.group, s.seq,
+                    counts_[static_cast<std::size_t>(s.group)], mask_);
+      }) {
   util::require(cfg_.num_groups >= 1 && cfg_.num_groups <= 30,
                 "flid_sender: unsupported group count");
   util::require(cfg_.slot_duration > 0, "flid_sender: bad slot duration");
@@ -82,16 +90,21 @@ void flid_sender::begin_slot(std::int64_t slot) {
     if (mask & (1u << g)) ++stats_.auth_count[static_cast<std::size_t>(g)];
   }
 
-  std::vector<int> counts(static_cast<std::size_t>(cfg_.num_groups) + 1, 0);
+  counts_.assign(static_cast<std::size_t>(cfg_.num_groups) + 1, 0);
   for (int g = 1; g <= cfg_.num_groups; ++g) {
-    counts[static_cast<std::size_t>(g)] = packets_in_slot(g, slot);
+    counts_[static_cast<std::size_t>(g)] = packets_in_slot(g, slot);
   }
-  if (delta_ != nullptr) delta_->begin_slot(slot, mask, counts);
+  if (delta_ != nullptr) delta_->begin_slot(slot, mask, counts_);
 
+  // The sends go out through series_, one lane per group: within a group
+  // the jittered times never decrease.
+  slot_ = slot;
+  mask_ = mask;
+  sends_.clear();
   const sim::time_ns t = cfg_.slot_duration;
   const sim::time_ns slot_start = slot * t;
   for (int g = 1; g <= cfg_.num_groups; ++g) {
-    const int n = counts[static_cast<std::size_t>(g)];
+    const int n = counts_[static_cast<std::size_t>(g)];
     for (int i = 0; i < n; ++i) {
       // Even pacing with +-25% jitter: real multicast sources are not
       // phase-locked, and deterministic alignment across sessions would
@@ -102,11 +115,11 @@ void flid_sender::begin_slot(std::int64_t slot) {
           position * static_cast<double>(t));
       const sim::time_ns when =
           slot_start + std::clamp<sim::time_ns>(offset, 0, t - 1);
-      net_.sched().at(when, [this, slot, g, i, n, mask] {
-        send_packet(slot, g, i, n, mask);
-      });
+      series_.add(when);
+      sends_.push_back({g, i});
     }
   }
+  series_.schedule();
   net_.sched().at(slot_start + t, [this, slot] { begin_slot(slot + 1); });
 }
 

@@ -13,6 +13,7 @@
 #include "crypto/prng.h"
 #include "flid/flid_config.h"
 #include "sim/network.h"
+#include "sim/scheduler.h"
 
 namespace mcc::flid {
 
@@ -28,6 +29,13 @@ class delta_sender_hook {
   /// Fills hdr.component / hdr.decrease for one data packet.
   virtual void fill_fields(std::int64_t slot, int group, int seq_in_slot,
                            bool last_in_slot, sim::flid_data& hdr) = 0;
+};
+
+/// One packet of a slot's paced schedule: its group and its index within
+/// the group's packets for the slot.
+struct paced_send {
+  int group;
+  int seq;
 };
 
 class flid_sender {
@@ -83,6 +91,14 @@ class flid_sender {
   std::int64_t auth_cache_slot_ = -1;
   std::uint32_t auth_cache_mask_ = 0;
   counters stats_;
+  // The slot being paced out: its number and mask, the packet count per
+  // group (index 0 unused), and (group, seq_in_slot) of each queued send in
+  // the order the series numbers them. Reused from slot to slot.
+  std::int64_t slot_ = 0;
+  std::uint32_t mask_ = 0;
+  std::vector<int> counts_;
+  std::vector<paced_send> sends_;
+  sim::event_series series_;
 };
 
 }  // namespace mcc::flid

@@ -8,7 +8,14 @@ namespace mcc::flid {
 
 replicated_sender::replicated_sender(sim::network& net, sim::node_id host,
                                      const flid_config& cfg, std::uint64_t)
-    : net_(net), host_(host), cfg_(cfg) {
+    : net_(net),
+      host_(host),
+      cfg_(cfg),
+      series_(net.sched(), [this](std::size_t k) {
+        const paced_send s = sends_[k];
+        send_packet(slot_, s.group, s.seq,
+                    counts_[static_cast<std::size_t>(s.group)], mask_);
+      }) {
   util::require(cfg_.num_groups >= 1 && cfg_.num_groups <= 30,
                 "replicated_sender: unsupported group count");
 }
@@ -55,24 +62,27 @@ int replicated_sender::packets_in_slot(int g, std::int64_t slot) const {
 
 void replicated_sender::begin_slot(std::int64_t slot) {
   const std::uint32_t mask = auth_mask_for_slot(slot);
-  std::vector<int> counts(static_cast<std::size_t>(cfg_.num_groups) + 1, 0);
+  counts_.assign(static_cast<std::size_t>(cfg_.num_groups) + 1, 0);
   for (int g = 1; g <= cfg_.num_groups; ++g) {
-    counts[static_cast<std::size_t>(g)] = packets_in_slot(g, slot);
+    counts_[static_cast<std::size_t>(g)] = packets_in_slot(g, slot);
   }
-  if (delta_ != nullptr) delta_->begin_slot(slot, mask, counts);
+  if (delta_ != nullptr) delta_->begin_slot(slot, mask, counts_);
 
+  // One series lane per group: each group's sends are evenly spaced.
+  slot_ = slot;
+  mask_ = mask;
+  sends_.clear();
   const sim::time_ns t = cfg_.slot_duration;
   const sim::time_ns slot_start = slot * t;
   for (int g = 1; g <= cfg_.num_groups; ++g) {
-    const int n = counts[static_cast<std::size_t>(g)];
+    const int n = counts_[static_cast<std::size_t>(g)];
     for (int i = 0; i < n; ++i) {
-      const sim::time_ns when =
-          slot_start + (2 * static_cast<sim::time_ns>(i) + 1) * t / (2 * n);
-      net_.sched().at(when, [this, slot, g, i, n, mask] {
-        send_packet(slot, g, i, n, mask);
-      });
+      series_.add(slot_start +
+                  (2 * static_cast<sim::time_ns>(i) + 1) * t / (2 * n));
+      sends_.push_back({g, i});
     }
   }
+  series_.schedule();
   net_.sched().at(slot_start + t, [this, slot] { begin_slot(slot + 1); });
 }
 

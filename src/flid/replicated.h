@@ -19,6 +19,7 @@
 #include "flid/flid_sender.h"
 #include "mcast/igmp.h"
 #include "sim/network.h"
+#include "sim/scheduler.h"
 #include "sim/stats.h"
 
 namespace mcc::flid {
@@ -52,6 +53,12 @@ class replicated_sender {
   bool sigma_tagging_ = false;
   bool sigma_protected_ = false;
   bool started_ = false;
+  // The slot being paced out, as in flid_sender.
+  std::int64_t slot_ = 0;
+  std::uint32_t mask_ = 0;
+  std::vector<int> counts_;
+  std::vector<paced_send> sends_;
+  sim::event_series series_;
 };
 
 /// Honest receiver for the replicated protocol over plain IGMP: one group at

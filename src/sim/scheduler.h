@@ -16,6 +16,15 @@
 // docs/performance.md for the layout and for why no O(1) structure replaces
 // it).
 //
+// The heap stays shallow because batches stay out of it. An owner that knows
+// a whole batch of fire times at once (a paced sender's slot of packets, a
+// SIGMA control block) hands them to an event_series, which reserves the
+// batch's sequence numbers in one go and keeps only the next event of each
+// non-decreasing run ("lane") in the heap. Each event still fires at the
+// (when, seq) rank plain at() calls would have given it, so the order is
+// unchanged; only pending_events() and its high-water mark shrink, from one
+// entry per queued packet to about one per lane.
+//
 // Threading contract: a world — its scheduler, every event_handle the
 // scheduler returned, and every copy of those handles — belongs to one
 // thread. Handles share the event pool through a plain (non-atomic)
@@ -27,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
@@ -249,17 +259,8 @@ class scheduler {
     requires std::is_invocable_r_v<void, std::decay_t<F>&>
   event_handle at(time_ns when, F&& fn) {
     util::require(when >= now_, "scheduler: event scheduled in the past");
-    detail::event_pool& pool = *pool_.pool;
-    const std::uint32_t idx = pool.next_free();
-    detail::event_slot& slot = pool[idx];
-    slot.fn.emplace(std::forward<F>(fn));
-    pool.pop_free();
-    util::require(next_seq_ < (std::uint64_t{1} << (64 - slot_bits)),
-                  "scheduler: sequence numbers exhausted");
-    heap_push(entry{static_cast<std::uint64_t>(when),
-                    next_seq_++ << slot_bits | idx});
-    if (pending_events() > max_pending_) max_pending_ = pending_events();
-    return event_handle(&pool, idx, slot.gen);
+    const std::uint32_t idx = push(when, reserve(1), std::forward<F>(fn));
+    return event_handle(pool_.pool, idx, (*pool_.pool)[idx].gen);
   }
 
   /// Schedules `fn` after a relative delay.
@@ -298,6 +299,29 @@ class scheduler {
   [[nodiscard]] std::size_t slots_high_water() const { return max_pending_; }
 
  private:
+  friend class event_series;
+
+  /// Reserves `n` consecutive sequence numbers and returns the first: the
+  /// ranks that `n` back-to-back at() calls would take.
+  std::uint64_t reserve(std::uint64_t n) {
+    util::require(n <= seq_limit - next_seq_,
+                  "scheduler: sequence numbers exhausted");
+    return std::exchange(next_seq_, next_seq_ + n);
+  }
+
+  /// Builds `fn` in a free slab slot and queues it at rank (when, seq), a
+  /// seq from reserve(); returns the slot.
+  template <typename F>
+  std::uint32_t push(time_ns when, std::uint64_t seq, F&& fn) {
+    detail::event_pool& pool = *pool_.pool;
+    const std::uint32_t idx = pool.next_free();
+    pool[idx].fn.emplace(std::forward<F>(fn));
+    pool.pop_free();
+    heap_push(entry{static_cast<std::uint64_t>(when), seq << slot_bits | idx});
+    if (pending_events() > max_pending_) max_pending_ = pending_events();
+    return idx;
+  }
+
   /// A heap entry: 16 bytes, so the four children of a node fill exactly
   /// one 64-byte cache line. `key` packs the FIFO sequence number above the
   /// slab slot; comparing (when, key) as one unsigned 128-bit number is the
@@ -307,6 +331,8 @@ class scheduler {
     std::uint64_t key;   // seq << slot_bits | slot
   };
   static constexpr unsigned slot_bits = detail::slot_bits;
+  static constexpr std::uint64_t seq_limit = std::uint64_t{1}
+                                             << (64 - slot_bits);
   __extension__ typedef unsigned __int128 rank_t;
   static rank_t rank(const entry& e) {
     return (static_cast<rank_t>(e.when) << 64) | e.key;
@@ -443,6 +469,74 @@ class scheduler {
   pool_owner pool_;
   std::vector<entry, line_allocator<entry>> heap_ =
       std::vector<entry, line_allocator<entry>>(root);
+};
+
+/// A batch of events whose owner knows all their fire times up front (a
+/// paced sender's packets for one slot). The owner add()s the times in the
+/// order it would have called at() for them and then schedule()s the batch,
+/// which reserves that many consecutive sequence numbers. The batch splits
+/// into lanes wherever the time decreases; only the next event of each lane
+/// sits in the heap. When it fires, the series pushes the lane's next
+/// (when, reserved seq) and then calls `on_fire(k)` with the event's index
+/// in the batch. Every event keeps the (when, seq) rank that back-to-back
+/// at() calls would have given it, so the firing order is the same, ties
+/// included, while the heap holds one entry per lane instead of one per
+/// event.
+///
+/// One batch at a time: starting the next one before the previous one has
+/// drained is an error. Lane events cannot be cancelled, and the series must
+/// outlive them (like any owner whose callbacks capture `this`).
+class event_series {
+ public:
+  event_series(scheduler& s, std::function<void(std::size_t)> on_fire)
+      : sched_(s), on_fire_(std::move(on_fire)) {}
+  event_series(const event_series&) = delete;
+  event_series& operator=(const event_series&) = delete;
+
+  /// Appends an event at `when` to the batch being built; the first add()
+  /// after schedule() starts a new batch.
+  void add(time_ns when) {
+    if (!open_) {
+      util::require(unfired_ == 0,
+                    "event_series: new batch before the previous one drained");
+      times_.clear();
+      open_ = true;
+    }
+    util::require(when >= sched_.now(),
+                  "event_series: event scheduled in the past");
+    times_.push_back(when);
+  }
+
+  /// Queues the batch built by add(): the head of each lane goes into the
+  /// heap, at the rank the batch's at() calls would have taken right now.
+  void schedule() {
+    if (!open_) return;  // nothing added since the last batch
+    open_ = false;
+    unfired_ = times_.size();
+    base_seq_ = sched_.reserve(times_.size());
+    for (std::size_t k = 0; k < times_.size(); ++k) {
+      if (k == 0 || times_[k] < times_[k - 1]) push(k);
+    }
+  }
+
+ private:
+  void push(std::size_t k) {
+    sched_.push(times_[k], base_seq_ + k, [this, k] { fire(k); });
+  }
+
+  void fire(std::size_t k) {
+    --unfired_;
+    if (k + 1 < times_.size() && times_[k + 1] >= times_[k]) push(k + 1);
+    on_fire_(k);
+  }
+
+  scheduler& sched_;
+  std::function<void(std::size_t)> on_fire_;
+  /// The batch's fire times, in add() order; event k has seq base_seq_ + k.
+  std::vector<time_ns> times_;
+  std::uint64_t base_seq_ = 0;
+  std::size_t unfired_ = 0;
+  bool open_ = false;  // add() is filling times_ for the next schedule()
 };
 
 }  // namespace mcc::sim

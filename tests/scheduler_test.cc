@@ -450,6 +450,132 @@ TEST(scheduler, randomized_fire_order_matches_oracle) {
   }
 }
 
+TEST(event_series, lanes_split_where_time_decreases_and_fire_in_time_order) {
+  // Three lanes: [10 20 30] [5 6] [1]. Only each lane's next event is in the
+  // heap.
+  scheduler s;
+  std::vector<std::size_t> fired;
+  event_series series(s, [&](std::size_t k) { fired.push_back(k); });
+  for (const time_ns t : {10, 20, 30, 5, 6, 1}) series.add(t);
+  series.schedule();
+  EXPECT_EQ(s.pending_events(), 3u);
+  s.run_until(1);
+  EXPECT_EQ(s.pending_events(), 2u);
+  s.run_until(5);
+  EXPECT_EQ(s.pending_events(), 2u);  // [5 6] moved on to 6
+  s.run_until(6);
+  EXPECT_EQ(s.pending_events(), 1u);
+  s.run();
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_EQ(s.max_pending_events(), 3u);
+  EXPECT_EQ(s.executed_events(), 6u);
+  EXPECT_EQ(fired, (std::vector<std::size_t>{5, 3, 4, 0, 1, 2}));
+}
+
+TEST(event_series, next_batch_needs_the_previous_one_drained) {
+  scheduler s;
+  int fired = 0;
+  event_series series(s, [&](std::size_t) { ++fired; });
+  series.add(10);
+  series.add(20);
+  series.schedule();
+  s.run_until(15);
+  EXPECT_THROW(series.add(30), util::invariant_error);
+  s.run();
+  EXPECT_EQ(fired, 2);
+  // Drained: the next batch starts at the clock's current time or later.
+  EXPECT_THROW(series.add(5), util::invariant_error);
+  series.add(20);
+  series.schedule();
+  s.run();
+  EXPECT_EQ(fired, 3);
+}
+
+/// Replays one deterministic random workload and returns its fire log. Each
+/// round queues plain at() events and a batch for each of two series, all on
+/// a coarse time grid so equal times are common and batches step backwards
+/// (several lanes). With `use_series` false the batches are plain at() calls
+/// in the same order, which is the order the series must reproduce. Some
+/// events schedule a follow-up when they fire.
+std::vector<int> series_workload(std::uint64_t seed, bool use_series,
+                                 int& lanes, int& ties) {
+  scheduler s;
+  std::vector<int> log;
+  std::uint64_t state = seed;
+  const auto rnd = [&state](std::uint64_t n) {
+    return crypto::splitmix64(state) % n;
+  };
+  int next_id = 0;
+  const auto on_fire = [&](int id) {
+    log.push_back(id);
+    if (id % 3 == 0) {
+      const int nested = next_id++;
+      s.after((id % 4) * 10, [&log, nested] { log.push_back(nested); });
+    }
+  };
+  const auto plain = [&](time_ns when) {
+    const int id = next_id++;
+    s.at(when, [&on_fire, id] { on_fire(id); });
+  };
+  std::array<std::vector<int>, 2> batch_ids;
+  std::array<std::unique_ptr<event_series>, 2> series;
+  for (std::size_t j = 0; j < series.size(); ++j) {
+    series[j] = std::make_unique<event_series>(
+        s, [&on_fire, &batch_ids, j](std::size_t k) {
+          on_fire(batch_ids[j][k]);
+        });
+  }
+  std::function<void(int)> round = [&](int r) {
+    if (r == 40) return;
+    const time_ns t0 = s.now();
+    const auto when = [&] { return t0 + static_cast<time_ns>(rnd(8)) * 10; };
+    time_ns last = t0;
+    for (std::size_t j = 0; j < series.size(); ++j) {
+      for (std::uint64_t n = rnd(3); n > 0; --n) plain(when());
+      batch_ids[j].clear();
+      time_ns prev = -1;
+      for (std::uint64_t n = 1 + rnd(12); n > 0; --n) {
+        const time_ns t = when();
+        const int id = next_id++;
+        batch_ids[j].push_back(id);
+        if (t < prev || prev < 0) ++lanes;
+        if (t == prev) ++ties;
+        prev = t;
+        last = std::max(last, t);
+        if (use_series) {
+          series[j]->add(t);
+        } else {
+          s.at(t, [&on_fire, id] { on_fire(id); });
+        }
+      }
+      if (use_series) series[j]->schedule();
+    }
+    for (std::uint64_t n = rnd(3); n > 0; --n) plain(when());
+    // The next round starts at the batches' last time, queued after them, so
+    // both series have drained by then.
+    s.at(last, [&round, r] { round(r + 1); });
+  };
+  s.at(0, [&round] { round(0); });
+  s.run();
+  return log;
+}
+
+TEST(event_series, randomized_fire_order_matches_plain_at_calls) {
+  for (std::uint64_t seed : {3ULL, 77ULL, 0xfeedULL}) {
+    int lanes = 0;
+    int ties = 0;
+    int unused = 0;
+    const std::vector<int> with_series =
+        series_workload(seed, true, lanes, ties);
+    const std::vector<int> plain = series_workload(seed, false, unused, unused);
+    ASSERT_GT(plain.size(), 500u) << "seed " << seed;
+    EXPECT_EQ(with_series, plain) << "seed " << seed;
+    // The workload exercised several lanes per batch and equal times.
+    EXPECT_GT(lanes, 2 * 80) << "seed " << seed;
+    EXPECT_GT(ties, 20) << "seed " << seed;
+  }
+}
+
 TEST(time_helpers, conversions_are_consistent) {
   EXPECT_EQ(seconds(1.0), 1'000'000'000);
   EXPECT_EQ(milliseconds(250), 250'000'000);
