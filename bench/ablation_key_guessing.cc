@@ -21,13 +21,11 @@ using namespace mcc;
 int main(int argc, char** argv) {
   util::flag_set flags("Key-guessing ablation: success probability vs key width");
   flags.add("trials", "200000", "Monte Carlo trials per configuration");
-  flags.add("seed", "31", "rng seed");
-  exp::add_sweep_flags(flags);
+  exp::add_sweep_flags(flags, 31);
   if (!flags.parse(argc, argv)) return 1;
 
   const auto trials = static_cast<int>(flags.i64("trials"));
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   struct cell {
     int bits;
@@ -80,7 +78,6 @@ int main(int argc, char** argv) {
   exp::print_check(std::cout, "16-bit keys, 256 guesses/slot",
                    "~1.2% success/slot (paper: y/2^b)",
                    100.0 * (1.0 - std::pow(1.0 - 3.0 / 65536.0, 256)), "%");
-  exp::maybe_write_json(flags, "ablation_key_guessing", rows, opts);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, "ablation_key_guessing", rows, opts);
   return 0;
 }

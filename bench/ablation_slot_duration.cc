@@ -20,14 +20,13 @@ int main(int argc, char** argv) {
   util::flag_set flags("Slot-duration ablation for FLID-DS");
   flags.add("duration", "120", "seconds per run");
   flags.add("inflate_at", "40", "attack start, seconds");
-  flags.add("seed", "37", "simulation seed");
-  exp::add_sweep_flags(flags);
+  exp::add_sweep_flags(flags, 37);
   if (!flags.parse(argc, argv)) return 1;
+  if (!exp::attack_window_ok(flags, "inflate_at")) return 1;
 
   const double duration = flags.f64("duration");
   const auto inflate_at = sim::seconds(flags.f64("inflate_at"));
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   const auto rows = exp::run_sweep(
       {250.0, 375.0, 500.0, 750.0, 1000.0}, opts,
@@ -79,7 +78,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "# expectation: fairness stays high at every slot size; SIGMA\n"
                "# overhead shrinks as slots lengthen (fewer key rotations).\n";
-  exp::maybe_write_json(flags, "ablation_slot_duration", rows, opts);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, "ablation_slot_duration", rows, opts);
   return 0;
 }

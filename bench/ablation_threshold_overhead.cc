@@ -24,13 +24,13 @@ int main(int argc, char** argv) {
   flags.add("key_bits", "16", "XOR DELTA key width b");
   flags.add("share_bits", "61", "threshold share size (GF(2^61-1) y value)");
   flags.add("packet_data_bits", "4000", "data payload per packet");
-  exp::add_sweep_flags(flags);
+  exp::add_sweep_flags(flags, std::nullopt);
   if (!flags.parse(argc, argv)) return 1;
 
   const double b = flags.f64("key_bits");
   const double share = flags.f64("share_bits");
   const double s_bits = flags.f64("packet_data_bits");
-  const auto opts = exp::sweep_options_from_flags(flags, 0);
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   std::vector<double> xs;
   for (int n = 2; n <= 20; n += 2) xs.push_back(n);
@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
   std::cout << "# threshold DELTA pays an order of magnitude more on small\n"
                "# sessions and grows with N on the base layer - the paper's\n"
                "# open problem, quantified.\n";
-  exp::maybe_write_json(flags, "ablation_threshold_overhead", rows, opts);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, "ablation_threshold_overhead", rows, opts);
   return 0;
 }

@@ -24,15 +24,14 @@ int main(int argc, char** argv) {
   flags.add("duration", "200", "experiment length, seconds");
   flags.add("inflate_at", "100", "attack start, seconds");
   flags.add("inflate_level", "6", "subscription level the attacker jumps to (0 = all)");
-  flags.add("seed", "7", "simulation seed");
-  exp::add_sweep_flags(flags);
+  exp::add_sweep_flags(flags, 7);
   if (!flags.parse(argc, argv)) return 1;
+  if (!exp::attack_window_ok(flags, "inflate_at")) return 1;
 
   const double duration = flags.f64("duration");
   const double inflate_at_s = flags.f64("inflate_at");
   const int inflate_level = static_cast<int>(flags.i64("inflate_level"));
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   const auto rows = exp::run_sweep(
       {1.0}, opts, [&](const exp::sweep_point& pt) {
@@ -85,7 +84,6 @@ int main(int argc, char** argv) {
                    row.value_of("T1_after"), "Kbps");
   exp::print_check(std::cout, "T2 throughput after the attack", "~100 (crushed)",
                    row.value_of("T2_after"), "Kbps");
-  exp::maybe_write_json(flags, "fig01_inflated_subscription", rows, opts);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, "fig01_inflated_subscription", rows, opts);
   return 0;
 }

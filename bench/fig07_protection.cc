@@ -20,23 +20,22 @@ int main(int argc, char** argv) {
   util::flag_set flags("Figure 7: FLID-DS under the inflated-subscription attack");
   flags.add("duration", "200", "experiment length, seconds");
   flags.add("inflate_at", "100", "attack start, seconds");
-  flags.add("attack-keys", "guess",
-            "how unprovable layers are backed: best_effort|replay|guess");
-  flags.add("seed", "7", "simulation seed");
+  flags.add_enum("attack-keys", "guess", "how unprovable layers are backed",
+                 {"best_effort", "replay", "guess"});
   // One scenario per run, so no "both": the flag parser rejects it.
   flags.add_enum("interface-keying", "off",
                  "collusion countermeasure (section 4.2)", {"off", "on"});
-  exp::add_sweep_flags(flags);
+  exp::add_sweep_flags(flags, 7);
   if (!flags.parse(argc, argv)) return 1;
+  if (!exp::attack_window_ok(flags, "inflate_at")) return 1;
 
   const double duration = flags.f64("duration");
   const double inflate_at_s = flags.f64("inflate_at");
   const adversary::key_mode keys =
-      adversary::key_mode_from_flag(flags.str("attack-keys"));
+      *adversary::key_mode_from_name(flags.str("attack-keys"));
   // Off (the paper's setup) unless asked for.
   const bool keying = flags.str("interface-keying") == "on";
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   const auto rows = exp::run_sweep(
       {1.0}, opts,
@@ -100,7 +99,6 @@ int main(int argc, char** argv) {
                    "high (allocation preserved)", row.value_of("fairness"), "");
   exp::print_check(std::cout, "invalid keys rejected by SIGMA", "> 0",
                    row.value_of("invalid_keys"), "");
-  exp::maybe_write_json(flags, "fig07_protection", rows, opts);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, "fig07_protection", rows, opts);
   return 0;
 }

@@ -73,13 +73,11 @@ int main(int argc, char** argv) {
   util::flag_set flags("Figure 8(a)-(c): throughput vs session count, no cross traffic");
   flags.add("duration", "200", "experiment length, seconds");
   flags.add("max_sessions", "18", "largest session count");
-  flags.add("seed", "11", "simulation seed");
-  exp::add_sweep_flags(flags);
+  exp::add_sweep_flags(flags, 11);
   if (!flags.parse(argc, argv)) return 1;
 
   const double duration = flags.f64("duration");
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
   std::vector<double> counts;
   for (int n = 1; n <= flags.i64("max_sessions");
        n += (n == 1 ? 1 : 2)) {  // 1, 2, 4, 6, ..., like the paper's x axis
@@ -125,7 +123,6 @@ int main(int argc, char** argv) {
   }
   exp::print_check(std::cout, "max relative DL-vs-DS average gap",
                    "small (curves overlap)", worst_gap, "fraction");
-  exp::maybe_write_json(flags, "fig08abc_throughput_nocross", rows, opts);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, "fig08abc_throughput_nocross", rows, opts);
   return 0;
 }

@@ -79,17 +79,16 @@ int main(int argc, char** argv) {
   util::flag_set flags("Figure 8(d): average multicast throughput with cross traffic");
   flags.add("duration", "200", "experiment length, seconds");
   flags.add("max_sessions", "18", "largest multicast session count");
-  flags.add("seed", "13", "simulation seed");
   flags.add("repeats", "3", "seeds averaged per data point");
   exp::add_aqm_flags(flags);
-  exp::add_sweep_flags(flags);
+  exp::add_sweep_flags(flags, 13);
   if (!flags.parse(argc, argv)) return 1;
 
   const double duration = flags.f64("duration");
   const int repeats = static_cast<int>(flags.i64("repeats"));
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
-  const sim::aqm_config base_aqm = exp::aqm_config_from_flags(flags);
+  const auto opts = exp::sweep_options_from_flags(flags);
+  const auto base_aqm = exp::aqm_config_from_flags(flags);
+  if (!base_aqm) return 1;
   const std::vector<sim::qdisc> qdiscs = exp::qdisc_list_from_flags(flags);
   std::vector<double> counts;
   for (int n = 1; n <= flags.i64("max_sessions"); n += (n == 1 ? 1 : 2)) {
@@ -106,7 +105,7 @@ int main(int argc, char** argv) {
   const auto rows = exp::run_sweep(
       grid, opts, [&](const exp::sweep_point& pt) {
         const int n = static_cast<int>(pt.x);
-        sim::aqm_config aqm = base_aqm;
+        sim::aqm_config aqm = *base_aqm;
         aqm.discipline = qdiscs[pt.index / counts.size()];
         double dl = 0.0;
         double ds = 0.0;
@@ -156,7 +155,6 @@ int main(int argc, char** argv) {
   }
   exp::print_check(std::cout, "max relative DL-vs-DS average gap",
                    "small (curves overlap)", worst_gap, "fraction");
-  exp::maybe_write_json(flags, "fig08d_average_with_cross", rows, opts);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, "fig08d_average_with_cross", rows, opts);
   return 0;
 }

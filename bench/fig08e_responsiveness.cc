@@ -50,13 +50,11 @@ double window_avg(const exp::series& s, double t0, double t1) {
 int main(int argc, char** argv) {
   util::flag_set flags("Figure 8(e): responsiveness to an 800 Kbps CBR burst");
   flags.add("duration", "100", "experiment length, seconds");
-  flags.add("seed", "17", "simulation seed");
-  exp::add_sweep_flags(flags);
+  exp::add_sweep_flags(flags, 17);
   if (!flags.parse(argc, argv)) return 1;
 
   const double duration = flags.f64("duration");
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   // Grid: one point per protocol mode (x = 0 DL, x = 1 DS).
   const auto rows = exp::run_sweep(
@@ -86,7 +84,6 @@ int main(int argc, char** argv) {
     exp::print_check(std::cout, row.label + " after burst", "recovers",
                      row.value_of("after"), "Kbps");
   }
-  exp::maybe_write_json(flags, "fig08e_responsiveness", rows, opts);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, "fig08e_responsiveness", rows, opts);
   return 0;
 }

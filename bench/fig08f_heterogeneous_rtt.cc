@@ -54,13 +54,11 @@ exp::series run(exp::flid_mode mode, double duration_s, std::uint64_t seed) {
 int main(int argc, char** argv) {
   util::flag_set flags("Figure 8(f): average throughput vs receiver RTT");
   flags.add("duration", "200", "experiment length, seconds");
-  flags.add("seed", "19", "simulation seed");
-  exp::add_sweep_flags(flags);
+  exp::add_sweep_flags(flags, 19);
   if (!flags.parse(argc, argv)) return 1;
 
   const double duration = flags.f64("duration");
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   // Grid: one point per protocol mode (x = 0 DL, x = 1 DS).
   const auto rows = exp::run_sweep(
@@ -98,7 +96,6 @@ int main(int argc, char** argv) {
     exp::print_check(std::cout, row.label + " mean across receivers",
                      "~200-250", row.value_of("mean"), "Kbps");
   }
-  exp::maybe_write_json(flags, "fig08f_heterogeneous_rtt", rows, opts);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, "fig08f_heterogeneous_rtt", rows, opts);
   return 0;
 }

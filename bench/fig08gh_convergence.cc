@@ -17,13 +17,11 @@ using namespace mcc;
 int main(int argc, char** argv) {
   util::flag_set flags("Figure 8(g)/(h): subscription convergence with staggered joins");
   flags.add("duration", "40", "experiment length, seconds");
-  flags.add("seed", "23", "simulation seed");
-  exp::add_sweep_flags(flags);
+  exp::add_sweep_flags(flags, 23);
   if (!flags.parse(argc, argv)) return 1;
 
   const double duration = flags.f64("duration");
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   // Grid: one point per panel (x = 0: FLID-DL panel g, x = 1: FLID-DS panel h).
   const auto rows = exp::run_sweep(
@@ -75,7 +73,6 @@ int main(int argc, char** argv) {
                      "yes (converged)", row.value_of("converged"), "(1 = yes)");
     std::cout << "\n";
   }
-  exp::maybe_write_json(flags, "fig08gh_convergence", rows, opts);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, "fig08gh_convergence", rows, opts);
   return 0;
 }

@@ -98,12 +98,10 @@ point_result run(int num_groups, double slot_seconds, double duration_s,
 int main(int argc, char** argv) {
   util::flag_set flags("Figure 9: DELTA/SIGMA communication overhead");
   flags.add("duration", "30", "seconds simulated per point");
-  flags.add("seed", "29", "simulation seed");
-  exp::add_sweep_flags(flags);
+  exp::add_sweep_flags(flags, 29);
   if (!flags.parse(argc, argv)) return 1;
   const double duration = flags.f64("duration");
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   // One combined grid: panel (a) sweeps N at t = 250 ms, panel (b) sweeps
   // the slot duration at N = 10.
@@ -161,7 +159,6 @@ int main(int argc, char** argv) {
                    "about 0.8%", 100 * worst_delta, "% (max)");
   exp::print_check(std::cout, "SIGMA overhead across both sweeps",
                    "under 0.6%", 100 * worst_sigma, "% (max)");
-  exp::maybe_write_json(flags, "fig09_overhead", rows, opts);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, "fig09_overhead", rows, opts);
   return 0;
 }

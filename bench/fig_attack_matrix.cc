@@ -36,7 +36,6 @@
 // follow --attack-keys.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -97,24 +96,18 @@ exp::testbed_config make_config(const std::string& topo,
     sites = {"r1", "r2", "r1"};
     return exp::parking_lot(cfg);
   }
-  if (topo == "tree") {
-    exp::tree_config cfg{w};
-    cfg.depth = 2;
-    cfg.fanout = 2;
-    cfg.edge_bps = path_bps;
-    cfg.aqm = aqm;
-    // Attacker on a sibling leaf of the honest receiver: they share the
-    // root->t1_0 edge (the contested link) and split below it. The second
-    // colluder sits in the other subtree, where its cleaner congestion
-    // state feeds the key pool.
-    sites = {"t2_0", "t2_1", "t2_2"};
-    return exp::balanced_tree(cfg);
-  }
-  std::fprintf(stderr,
-               "bad value for --topos: '%s' (expected dumbbell, parking_lot, "
-               "tree, a comma list, or all)\n",
-               topo.c_str());
-  std::exit(1);
+  // tree: the --topos declaration admits no other name.
+  exp::tree_config cfg{w};
+  cfg.depth = 2;
+  cfg.fanout = 2;
+  cfg.edge_bps = path_bps;
+  cfg.aqm = aqm;
+  // Attacker on a sibling leaf of the honest receiver: they share the
+  // root->t1_0 edge (the contested link) and split below it. The second
+  // colluder sits in the other subtree, where its cleaner congestion
+  // state feeds the key pool.
+  sites = {"t2_0", "t2_1", "t2_2"};
+  return exp::balanced_tree(cfg);
 }
 
 }  // namespace
@@ -124,19 +117,28 @@ int main(int argc, char** argv) {
       "Attack matrix: adversary strategy x topology x qdisc containment");
   flags.add("duration", "120", "experiment length, seconds");
   flags.add("attack-at", "40", "attack onset, seconds");
-  flags.add("strategies", "all",
-            "comma list of inflate_once|pulse_inflate|churn_flap|"
-            "deaf_receiver|collusion|adaptive_pulse|adaptive_churn, or all");
-  flags.add("topos", "all",
-            "comma list of dumbbell|parking_lot|tree, or all");
-  flags.add("mode", "ds", "protocol world: ds (SIGMA-protected) or dl (plain)");
-  flags.add("attack-keys", "guess",
-            "key mode for inflate_once/pulse_inflate: best_effort|replay|guess");
-  flags.add("pulse-on", "5",
-            "pulse_inflate: attack phase; adaptive_pulse: max probe, seconds");
-  flags.add("pulse-off", "5", "pulse_inflate: recovery phase, seconds");
+  flags.add_enum("strategies", "all", "attack strategies, or all",
+                 {"inflate_once", "pulse_inflate", "churn_flap",
+                  "deaf_receiver", "collusion", "adaptive_pulse",
+                  "adaptive_churn", "all"},
+                 /*csv_list=*/true);
+  flags.add_enum("topos", "all", "topologies, or all",
+                 {"dumbbell", "parking_lot", "tree", "all"},
+                 /*csv_list=*/true);
+  flags.add_enum("mode", "ds",
+                 "protocol world: ds (SIGMA-protected) or dl (plain)",
+                 {"ds", "dl"});
+  flags.add_enum("attack-keys", "guess",
+                 "key mode for inflate_once/pulse_inflate",
+                 {"best_effort", "replay", "guess"});
+  // At least 1 ns: the strategy constructors reject an empty phase.
+  flags.add_range("pulse-on", "5",
+                  "pulse_inflate: attack phase; adaptive_pulse: max probe, "
+                  "seconds",
+                  {.lo = 1e-9});
+  flags.add_range("pulse-off", "5", "pulse_inflate: recovery phase, seconds",
+                  {.lo = 1e-9});
   flags.add("flap-period", "1", "churn_flap: slots per phase");
-  flags.add("seed", "7", "simulation seed");
   exp::add_axis_flag(flags, "interface-keying", "both",
                      "collusion countermeasure (section 4.2)");
   exp::add_axis_flag(flags, "probation-memory", "both",
@@ -149,40 +151,19 @@ int main(int argc, char** argv) {
                      "shared congestion manager across co-located sessions");
   exp::add_cm_flags(flags);
   exp::add_aqm_flags(flags);
-  exp::add_sweep_flags(flags);
+  exp::add_sweep_flags(flags, 7);
   if (!flags.parse(argc, argv)) return 1;
+  if (!exp::attack_window_ok(flags, "attack-at")) return 1;
 
   const double duration = flags.f64("duration");
   const double attack_at_s = flags.f64("attack-at");
-  if (duration <= attack_at_s + 10.0) {
-    std::fprintf(stderr,
-                 "bad value for --duration/--attack-at: %g/%g (need duration "
-                 "> attack-at + 10 s so the containment window is non-empty)\n",
-                 duration, attack_at_s);
-    return 1;
-  }
   const std::string mode_name = flags.str("mode");
-  if (mode_name != "ds" && mode_name != "dl") {
-    std::fprintf(stderr, "bad value for --mode: '%s' (expected ds or dl)\n",
-                 mode_name.c_str());
-    return 1;
-  }
   const exp::flid_mode mode =
       mode_name == "ds" ? exp::flid_mode::ds : exp::flid_mode::dl;
   const adversary::key_mode keys =
-      adversary::key_mode_from_flag(flags.str("attack-keys"));
+      *adversary::key_mode_from_name(flags.str("attack-keys"));
   const sim::time_ns pulse_on = sim::seconds(flags.f64("pulse-on"));
   const sim::time_ns pulse_off = sim::seconds(flags.f64("pulse-off"));
-  if (pulse_on <= 0 || pulse_off <= 0) {
-    // Validate here with the friendly flag UX: the strategy constructor
-    // also checks, but that invariant_error would surface as an unhandled
-    // exception out of run_sweep instead of a flag message.
-    std::fprintf(stderr,
-                 "bad value for --pulse-on/--pulse-off: %g/%g (expected "
-                 "positive seconds)\n",
-                 flags.f64("pulse-on"), flags.f64("pulse-off"));
-    return 1;
-  }
   const int flap_period = static_cast<int>(flags.i64("flap-period"));
 
   std::vector<adversary::strategy_kind> strategies;
@@ -190,16 +171,7 @@ int main(int argc, char** argv) {
     strategies = adversary::all_attacks();
   } else {
     for (const std::string& name : util::split_csv(flags.str("strategies"))) {
-      const auto k = adversary::strategy_from_name(name);
-      if (!k.has_value() || *k == adversary::strategy_kind::honest) {
-        std::fprintf(stderr,
-                     "bad value for --strategies: '%s' (expected "
-                     "inflate_once, pulse_inflate, churn_flap, deaf_receiver, "
-                     "collusion, a comma list, or all)\n",
-                     name.c_str());
-        return 1;
-      }
-      strategies.push_back(*k);
+      strategies.push_back(*adversary::strategy_from_name(name));
     }
   }
   const std::vector<std::string> topos =
@@ -207,7 +179,8 @@ int main(int argc, char** argv) {
           ? std::vector<std::string>{"dumbbell", "parking_lot", "tree"}
           : util::split_csv(flags.str("topos"));
   const std::vector<sim::qdisc> qdiscs = exp::qdisc_list_from_flags(flags);
-  const sim::aqm_config aqm_base = exp::aqm_config_from_flags(flags);
+  const auto aqm_base = exp::aqm_config_from_flags(flags);
+  if (!aqm_base) return 1;
   std::vector<bool> keyings =
       exp::axis_from_flags(flags, "interface-keying", false, true);
   if (mode == exp::flid_mode::dl && (keyings.size() > 1 || keyings.front())) {
@@ -219,7 +192,7 @@ int main(int argc, char** argv) {
   }
   std::vector<int> memories = exp::axis_from_flags(
       flags, "probation-memory", 0,
-      exp::probation_memory_slots_from_flags(flags));
+      static_cast<int>(flags.i64("probation-memory-slots")));
   if (mode == exp::flid_mode::dl &&
       (memories.size() > 1 || memories.front() != 0)) {
     // No SIGMA router in the plain world; the axis would duplicate cells.
@@ -235,9 +208,6 @@ int main(int argc, char** argv) {
   std::size_t seed_index = 0;
   for (const adversary::strategy_kind s : strategies) {
     for (const std::string& t : topos) {
-      // Validate topology names up front (before worker threads).
-      site_plan probe;
-      (void)make_config(t, {}, aqm_base, probe);
       for (const sim::qdisc q : qdiscs) {
         for (const bool k : keyings) {
           for (const int m : memories) {
@@ -257,8 +227,7 @@ int main(int argc, char** argv) {
 
   std::vector<double> xs(cells.size());
   for (std::size_t i = 0; i < xs.size(); ++i) xs[i] = static_cast<double>(i);
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   const sim::time_ns attack_at = sim::seconds(attack_at_s);
   const sim::time_ns horizon = sim::seconds(duration);
@@ -272,7 +241,7 @@ int main(int argc, char** argv) {
     w.probation_memory_slots = c.memory;
     w.cm = c.cm;
     w.cm_params = cm_params;
-    sim::aqm_config aqm = aqm_base;
+    sim::aqm_config aqm = *aqm_base;
     aqm.discipline = c.queue;
     exp::testbed d(make_config(c.topo, w, aqm, sites));
 
@@ -622,7 +591,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  exp::maybe_write_json(flags, "fig_attack_matrix", rows, opts);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, "fig_attack_matrix", rows, opts);
   return 0;
 }

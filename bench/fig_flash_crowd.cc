@@ -37,7 +37,6 @@
 // — honest leave/rejoin must ride through the memory window unblocked.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -95,22 +94,16 @@ exp::testbed_config make_config(const std::string& topo,
     sites = {"s1", "s1"};
     return exp::star(cfg);
   }
-  if (topo == "tree") {
-    exp::tree_config cfg{w};
-    cfg.depth = 2;
-    cfg.fanout = 2;
-    cfg.edge_bps = path_bps;
-    cfg.aqm = aqm;
-    // The adversary hides on a sibling leaf: it shares the contested
-    // root->t1_0 edge with the population and splits below it.
-    sites = {"t2_0", "t2_1"};
-    return exp::balanced_tree(cfg);
-  }
-  std::fprintf(stderr,
-               "bad value for --topos: '%s' (expected dumbbell, parking_lot, "
-               "star, tree, a comma list, or all)\n",
-               topo.c_str());
-  std::exit(1);
+  // tree: the --topos declaration admits no other name.
+  exp::tree_config cfg{w};
+  cfg.depth = 2;
+  cfg.fanout = 2;
+  cfg.edge_bps = path_bps;
+  cfg.aqm = aqm;
+  // The adversary hides on a sibling leaf: it shares the contested
+  // root->t1_0 edge with the population and splits below it.
+  sites = {"t2_0", "t2_1"};
+  return exp::balanced_tree(cfg);
 }
 
 }  // namespace
@@ -123,86 +116,63 @@ int main(int argc, char** argv) {
   // bound, so the attack window must be comfortably longer than that.
   flags.add("duration", "120", "experiment length, seconds");
   flags.add("flash-at", "30", "flash-crowd onset, seconds");
-  flags.add("flash-frac", "1.0",
-            "flash-crowd size as a fraction of the base population");
+  flags.add_range("flash-frac", "1.0",
+                  "flash-crowd size as a fraction of the base population",
+                  {.lo = 0.0});
   flags.add("attack-at", "40", "attack onset, seconds");
-  flags.add("attacks", "none,inflate_once",
-            "comma list of none|inflate_once|pulse_inflate|churn_flap|"
-            "deaf_receiver");
-  flags.add("topos", "dumbbell,tree",
-            "comma list of dumbbell|parking_lot|star|tree, or all");
-  flags.add("mode", "ds", "protocol world: ds (SIGMA-protected) or dl (plain)");
-  flags.add("attack-keys", "guess",
-            "key mode for inflate_once/pulse_inflate: best_effort|replay|guess");
-  flags.add("seed", "11", "simulation seed");
+  flags.add_enum("attacks", "none,inflate_once", "attack(s) of the adversary",
+                 {"none", "inflate_once", "pulse_inflate", "churn_flap",
+                  "deaf_receiver"},
+                 /*csv_list=*/true);
+  flags.add_enum("topos", "dumbbell,tree", "topologies, or all",
+                 {"dumbbell", "parking_lot", "star", "tree", "all"},
+                 /*csv_list=*/true);
+  flags.add_enum("mode", "ds",
+                 "protocol world: ds (SIGMA-protected) or dl (plain)",
+                 {"ds", "dl"});
+  flags.add_enum("attack-keys", "guess",
+                 "key mode for inflate_once/pulse_inflate",
+                 {"best_effort", "replay", "guess"});
   exp::add_population_flags(flags, "1000,1000000");
   exp::add_axis_flag(flags, "probation-memory", "off",
                      "router probation memory (adaptive_churn countermeasure)");
   exp::add_probation_memory_slots_flag(flags);
   exp::add_aqm_flags(flags);
-  exp::add_sweep_flags(flags);
+  exp::add_sweep_flags(flags, 11);
   if (!flags.parse(argc, argv)) return 1;
+  if (!exp::attack_window_ok(flags, "attack-at")) return 1;
 
   const double duration = flags.f64("duration");
   const double attack_at_s = flags.f64("attack-at");
   const double flash_at_s = flags.f64("flash-at");
   const double flash_frac = flags.f64("flash-frac");
-  if (duration <= attack_at_s + 10.0) {
-    std::fprintf(stderr,
-                 "bad value for --duration/--attack-at: %g/%g (need duration "
-                 "> attack-at + 10 s so the containment window is non-empty)\n",
-                 duration, attack_at_s);
-    return 1;
-  }
   if (flash_at_s < 0.0 || flash_at_s >= duration) {
     std::fprintf(stderr,
                  "bad value for --flash-at: %g (expected within [0, duration))\n",
                  flash_at_s);
     return 1;
   }
-  if (flash_frac < 0.0) {
-    std::fprintf(stderr,
-                 "bad value for --flash-frac: %g (expected >= 0)\n",
-                 flash_frac);
-    return 1;
-  }
   const std::string mode_name = flags.str("mode");
-  if (mode_name != "ds" && mode_name != "dl") {
-    std::fprintf(stderr, "bad value for --mode: '%s' (expected ds or dl)\n",
-                 mode_name.c_str());
-    return 1;
-  }
   const exp::flid_mode mode =
       mode_name == "ds" ? exp::flid_mode::ds : exp::flid_mode::dl;
   const adversary::key_mode keys =
-      adversary::key_mode_from_flag(flags.str("attack-keys"));
+      *adversary::key_mode_from_name(flags.str("attack-keys"));
 
-  std::vector<std::string> attacks = util::split_csv(flags.str("attacks"));
-  for (const std::string& name : attacks) {
-    if (name == "none") continue;
-    const auto k = adversary::strategy_from_name(name);
-    if (!k.has_value() || *k == adversary::strategy_kind::honest) {
-      std::fprintf(stderr,
-                   "bad value for --attacks: '%s' (expected none, "
-                   "inflate_once, pulse_inflate, churn_flap, deaf_receiver, "
-                   "or a comma list)\n",
-                   name.c_str());
-      return 1;
-    }
-  }
+  const std::vector<std::string> attacks =
+      util::split_csv(flags.str("attacks"));
   const std::vector<std::string> topos =
       flags.str("topos") == "all"
           ? std::vector<std::string>{"dumbbell", "parking_lot", "star", "tree"}
           : util::split_csv(flags.str("topos"));
   const std::vector<sim::qdisc> qdiscs = exp::qdisc_list_from_flags(flags);
-  const sim::aqm_config aqm_base = exp::aqm_config_from_flags(flags);
-  const std::vector<std::int64_t> populations =
-      exp::population_axis_from_flags(flags);
-  const population::population_config pop_base =
-      exp::population_config_from_flags(flags);
+  const auto aqm_base = exp::aqm_config_from_flags(flags);
+  if (!aqm_base) return 1;
+  const std::vector<std::int64_t> populations = flags.i64_list("population");
+  const auto pop_base = exp::population_config_from_flags(flags);
+  if (!pop_base) return 1;
   std::vector<int> memories = exp::axis_from_flags(
       flags, "probation-memory", 0,
-      exp::probation_memory_slots_from_flags(flags));
+      static_cast<int>(flags.i64("probation-memory-slots")));
   if (mode == exp::flid_mode::dl &&
       (memories.size() > 1 || memories.front() != 0)) {
     // No SIGMA router in the plain world; the axis would duplicate cells.
@@ -215,9 +185,6 @@ int main(int argc, char** argv) {
   std::vector<cell> cells;
   for (const std::int64_t n : populations) {
     for (const std::string& t : topos) {
-      // Validate topology names up front (before worker threads).
-      site_plan probe;
-      (void)make_config(t, {}, aqm_base, probe);
       for (const sim::qdisc q : qdiscs) {
         for (const std::string& a : attacks) {
           for (const int m : memories) cells.push_back({n, t, q, a, m});
@@ -228,8 +195,7 @@ int main(int argc, char** argv) {
 
   std::vector<double> xs(cells.size());
   for (std::size_t i = 0; i < xs.size(); ++i) xs[i] = static_cast<double>(i);
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   const sim::time_ns attack_at = sim::seconds(attack_at_s);
   const sim::time_ns horizon = sim::seconds(duration);
@@ -242,7 +208,7 @@ int main(int argc, char** argv) {
     exp::world_options w;
     w.seed = pt.seed;
     w.probation_memory_slots = c.memory;
-    sim::aqm_config aqm = aqm_base;
+    sim::aqm_config aqm = *aqm_base;
     aqm.discipline = c.queue;
     exp::testbed d(make_config(c.topo, w, aqm, sites));
 
@@ -277,7 +243,7 @@ int main(int argc, char** argv) {
 
     exp::population_options popts;
     popts.at = sites.population;
-    popts.population = pop_base;
+    popts.population = *pop_base;
     popts.population.initial_members = c.members;
     if (popts.population.churn.flash_at < 0) {
       // --churn didn't script a flash: the bench's own storm, scaled to the
@@ -436,7 +402,6 @@ int main(int argc, char** argv) {
                        "of " + std::to_string(memory_cells));
     }
   }
-  exp::maybe_write_json(flags, "fig_flash_crowd", rows, opts);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, "fig_flash_crowd", rows, opts);
   return 0;
 }

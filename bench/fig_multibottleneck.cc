@@ -122,16 +122,16 @@ int main(int argc, char** argv) {
       "Parking-lot extension: inflated subscription across two bottlenecks");
   flags.add("duration", "200", "experiment length, seconds");
   flags.add("inflate_at", "100", "attack start, seconds");
-  flags.add("seed", "47", "simulation seed");
   exp::add_aqm_flags(flags);
-  exp::add_sweep_flags(flags);
+  exp::add_sweep_flags(flags, 47);
   if (!flags.parse(argc, argv)) return 1;
+  if (!exp::attack_window_ok(flags, "inflate_at")) return 1;
 
   const double duration = flags.f64("duration");
   const double inflate_at = flags.f64("inflate_at");
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
-  const sim::aqm_config base_aqm = exp::aqm_config_from_flags(flags);
+  const auto opts = exp::sweep_options_from_flags(flags);
+  const auto base_aqm = exp::aqm_config_from_flags(flags);
+  if (!base_aqm) return 1;
   const std::vector<sim::qdisc> qdiscs = exp::qdisc_list_from_flags(flags);
 
   // Grid: (qdisc, protocol mode) pairs; x encodes the flattened index.
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
       grid, opts, [&](const exp::sweep_point& pt) {
         const auto mode =
             pt.index % 2 == 0 ? exp::flid_mode::dl : exp::flid_mode::ds;
-        sim::aqm_config aqm = base_aqm;
+        sim::aqm_config aqm = *base_aqm;
         aqm.discipline = qdiscs[pt.index / 2];
         exp::sweep_row row = run(mode, duration, inflate_at, pt.seed, aqm);
         row.label = std::string(pt.index % 2 == 0 ? "FLID-DL/" : "FLID-DS/") +
@@ -169,7 +169,6 @@ int main(int argc, char** argv) {
     exp::print_check(std::cout, "invalid keys rejected at far edge (DS, " + qd + ")",
                      "> 0", ds.value_of("invalid_keys_far"), "");
   }
-  exp::maybe_write_json(flags, "fig_multibottleneck", rows, opts);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, "fig_multibottleneck", rows, opts);
   return 0;
 }

@@ -27,7 +27,6 @@
 // cross-commit baseline diffs keep matching historical rows.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -85,19 +84,13 @@ exp::testbed_config make_config(const std::string& topo,
     sites = {"r"};
     return exp::dumbbell(cfg);
   }
-  if (topo == "parking_lot") {
-    exp::parking_lot_config cfg{w};
-    cfg.bottlenecks = 2;
-    cfg.bottleneck_bps = path_bps;
-    cfg.aqm = aqm;
-    sites = {"r2"};
-    return exp::parking_lot(cfg);
-  }
-  std::fprintf(stderr,
-               "bad value for --topos: '%s' (expected dumbbell, parking_lot, "
-               "or a comma list)\n",
-               topo.c_str());
-  std::exit(1);
+  // parking_lot: the --topos declaration admits no other name.
+  exp::parking_lot_config cfg{w};
+  cfg.bottlenecks = 2;
+  cfg.bottleneck_bps = path_bps;
+  cfg.aqm = aqm;
+  sites = {"r2"};
+  return exp::parking_lot(cfg);
 }
 
 }  // namespace
@@ -107,47 +100,41 @@ int main(int argc, char** argv) {
       "Session farm: N concurrent sessions x cm x qdisc x attack collateral");
   flags.add("duration", "120", "experiment length, seconds");
   flags.add("attack-at", "40", "attack onset, seconds");
-  flags.add("damage-window", "40",
-            "collateral damage is measured over [attack-at, attack-at + "
-            "this], seconds");
-  flags.add("sessions", "2,8",
-            "concurrent session count(s), comma-separated (2..64 each)");
-  flags.add("attacks", "none,inflate_once",
-            "comma list of none|inflate_once|pulse_inflate|deaf_receiver");
-  flags.add("topos", "dumbbell,parking_lot",
-            "comma list of dumbbell|parking_lot");
-  flags.add("mode", "ds", "protocol world: ds (SIGMA-protected) or dl (plain)");
-  flags.add("attack-keys", "guess",
-            "key mode for inflate_once/pulse_inflate: best_effort|replay|guess");
-  flags.add("per-session-kbps", "250",
-            "bottleneck capacity budgeted per session (link = N x this)");
+  flags.add_range("damage-window", "40",
+                  "collateral damage is measured over [attack-at, attack-at "
+                  "+ this], seconds",
+                  {.lo = 5.0});
+  flags.add_range("sessions", "2,8", "concurrent session count(s)",
+                  {.lo = 2, .hi = 64, .integer = true, .list = true});
+  flags.add_enum("attacks", "none,inflate_once", "attack(s) of session 0",
+                 {"none", "inflate_once", "pulse_inflate", "deaf_receiver"},
+                 /*csv_list=*/true);
+  flags.add_enum("topos", "dumbbell,parking_lot", "topologies",
+                 {"dumbbell", "parking_lot"}, /*csv_list=*/true);
+  flags.add_enum("mode", "ds",
+                 "protocol world: ds (SIGMA-protected) or dl (plain)",
+                 {"ds", "dl"});
+  flags.add_enum("attack-keys", "guess",
+                 "key mode for inflate_once/pulse_inflate",
+                 {"best_effort", "replay", "guess"});
+  flags.add_range("per-session-kbps", "250",
+                  "bottleneck capacity budgeted per session (link = N x "
+                  "this)",
+                  {.lo = 50.0, .hi = 10e3});
   flags.add("check-sessions", "8",
             "the collateral-damage CHECK applies at this many sessions or "
             "more");
-  flags.add("seed", "21", "simulation seed");
   exp::add_axis_flag(flags, "cm", "both",
                      "shared congestion manager across co-located sessions");
   exp::add_cm_flags(flags);
   exp::add_aqm_flags(flags);
-  exp::add_sweep_flags(flags);
+  exp::add_sweep_flags(flags, 21);
   if (!flags.parse(argc, argv)) return 1;
+  if (!exp::attack_window_ok(flags, "attack-at")) return 1;
 
   const double duration = flags.f64("duration");
   const double attack_at_s = flags.f64("attack-at");
   const double damage_window_s = flags.f64("damage-window");
-  if (!(damage_window_s >= 5.0)) {
-    std::fprintf(stderr,
-                 "bad value for --damage-window: %g (expected >= 5 s)\n",
-                 damage_window_s);
-    return 1;
-  }
-  if (duration <= attack_at_s + 10.0) {
-    std::fprintf(stderr,
-                 "bad value for --duration/--attack-at: %g/%g (need duration "
-                 "> attack-at + 10 s so the damage window is non-empty)\n",
-                 duration, attack_at_s);
-    return 1;
-  }
   if (attack_at_s <= 15.0) {
     std::fprintf(stderr,
                  "bad value for --attack-at: %g (need > 15 s so the "
@@ -156,65 +143,31 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string mode_name = flags.str("mode");
-  if (mode_name != "ds" && mode_name != "dl") {
-    std::fprintf(stderr, "bad value for --mode: '%s' (expected ds or dl)\n",
-                 mode_name.c_str());
-    return 1;
-  }
   const exp::flid_mode mode =
       mode_name == "ds" ? exp::flid_mode::ds : exp::flid_mode::dl;
   const adversary::key_mode keys =
-      adversary::key_mode_from_flag(flags.str("attack-keys"));
+      *adversary::key_mode_from_name(flags.str("attack-keys"));
   const double per_session_kbps = flags.f64("per-session-kbps");
-  if (!(per_session_kbps >= 50.0 && per_session_kbps <= 10e3)) {
-    std::fprintf(stderr,
-                 "bad value for --per-session-kbps: %g (expected a rate in "
-                 "[50, 10000])\n",
-                 per_session_kbps);
-    return 1;
-  }
   const int check_sessions = static_cast<int>(flags.i64("check-sessions"));
 
-  std::vector<int> session_counts;
-  for (const std::string& tok : util::split_csv(flags.str("sessions"))) {
-    const int n = std::atoi(tok.c_str());
-    if (n < 2 || n > 64) {
-      std::fprintf(stderr,
-                   "bad value for --sessions: '%s' (expected counts in "
-                   "[2, 64])\n",
-                   tok.c_str());
-      return 1;
-    }
-    session_counts.push_back(n);
-  }
-  std::vector<std::string> attacks = util::split_csv(flags.str("attacks"));
-  for (const std::string& name : attacks) {
-    if (name == "none") continue;
-    const auto k = adversary::strategy_from_name(name);
-    if (!k.has_value() || *k == adversary::strategy_kind::honest) {
-      std::fprintf(stderr,
-                   "bad value for --attacks: '%s' (expected none, "
-                   "inflate_once, pulse_inflate, deaf_receiver, or a comma "
-                   "list)\n",
-                   name.c_str());
-      return 1;
-    }
-  }
+  const std::vector<std::int64_t> session_counts = flags.i64_list("sessions");
+  const std::vector<std::string> attacks =
+      util::split_csv(flags.str("attacks"));
   const std::vector<std::string> topos = util::split_csv(flags.str("topos"));
   const std::vector<sim::qdisc> qdiscs = exp::qdisc_list_from_flags(flags);
-  const sim::aqm_config aqm_base = exp::aqm_config_from_flags(flags);
+  const auto aqm_base = exp::aqm_config_from_flags(flags);
+  if (!aqm_base) return 1;
   const std::vector<bool> cms = exp::axis_from_flags(flags, "cm", false, true);
   const cm::cm_config cm_params = exp::cm_config_from_flags(flags);
 
   std::vector<cell> cells;
-  for (const int n : session_counts) {
+  for (const std::int64_t n : session_counts) {
     for (const std::string& t : topos) {
-      // Validate topology names up front (before worker threads).
-      site_plan probe;
-      (void)make_config(t, {}, aqm_base, 1e6, probe);
       for (const sim::qdisc q : qdiscs) {
         for (const std::string& a : attacks) {
-          for (const bool c : cms) cells.push_back({n, t, q, a, c});
+          for (const bool c : cms) {
+            cells.push_back({static_cast<int>(n), t, q, a, c});
+          }
         }
       }
     }
@@ -222,8 +175,7 @@ int main(int argc, char** argv) {
 
   std::vector<double> xs(cells.size());
   for (std::size_t i = 0; i < xs.size(); ++i) xs[i] = static_cast<double>(i);
-  const std::uint64_t base_seed = static_cast<std::uint64_t>(flags.i64("seed"));
-  const auto opts = exp::sweep_options_from_flags(flags, base_seed);
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   const sim::time_ns attack_at = sim::seconds(attack_at_s);
   const sim::time_ns horizon = sim::seconds(duration);
@@ -239,10 +191,10 @@ int main(int argc, char** argv) {
     const double path_bps =
         per_session_kbps * 1e3 * static_cast<double>(c.sessions);
     exp::world_options w;
-    w.seed = cell_seed(base_seed, c);
+    w.seed = cell_seed(opts.base_seed, c);
     w.cm = c.cm;
     w.cm_params = cm_params;
-    sim::aqm_config aqm = aqm_base;
+    sim::aqm_config aqm = *aqm_base;
     aqm.discipline = c.queue;
     exp::testbed d(make_config(c.topo, w, aqm, path_bps, sites));
 
@@ -402,7 +354,6 @@ int main(int argc, char** argv) {
                   pairs);
     }
   }
-  exp::maybe_write_json(flags, "fig_session_farm", rows, opts);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, "fig_session_farm", rows, opts);
   return 0;
 }

@@ -1,8 +1,6 @@
 #include "adversary/adversary.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "core/delta_layered.h"
 #include "util/require.h"
@@ -62,20 +60,6 @@ std::optional<key_mode> key_mode_from_name(const std::string& name) {
     if (name == key_mode_name(m)) return m;
   }
   return std::nullopt;
-}
-
-key_mode key_mode_from_flag(const std::string& name) {
-  const auto m = key_mode_from_name(name);
-  if (!m.has_value()) {
-    // A command-line typo, not a program invariant: same friendly UX as a
-    // bad numeric flag value.
-    std::fprintf(stderr,
-                 "bad value for --attack-keys: '%s' (expected best_effort, "
-                 "replay, or guess)\n",
-                 name.c_str());
-    std::exit(1);
-  }
-  return *m;
 }
 
 // ---------------------------------------------------------------------------

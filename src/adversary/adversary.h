@@ -125,10 +125,6 @@ using key_mode = core::misbehaving_sigma_strategy::key_mode;
 /// Inverse of key_mode_name; nullopt on unknown.
 [[nodiscard]] std::optional<key_mode> key_mode_from_name(
     const std::string& name);
-/// Bench-main glue: like key_mode_from_name, but an unknown name prints a
-/// friendly message and exits(1) — the shared parser every bench with an
-/// --attack-keys flag uses instead of rolling its own.
-[[nodiscard]] key_mode key_mode_from_flag(const std::string& name);
 
 /// Declarative description of one receiver's (mis)behaviour. Defaults are
 /// honest; factories below fill the fields each strategy reads.

@@ -29,40 +29,39 @@ std::uint64_t point_seed(std::uint64_t base_seed, std::size_t index) {
   return crypto::splitmix64(state);
 }
 
-void add_sweep_flags(util::flag_set& flags) {
-  flags.add("jobs", "1", "worker threads for the parameter grid");
+void add_sweep_flags(util::flag_set& flags,
+                     std::optional<std::int64_t> default_seed) {
+  if (default_seed.has_value()) {
+    flags.add_range("seed", std::to_string(*default_seed), "simulation seed",
+                    {.integer = true});
+  }
+  flags.add_range("jobs", "1", "worker threads for the parameter grid",
+                  {.integer = true});
   flags.add("json", "", "also write machine-readable results to this file");
   flags.add("trace", "",
             "write the deterministic event trace to this file (convert with "
             "tools/trace2perfetto.py)");
   flags.add("profile", "false",
             "add a wall-clock self-profiling block to the --json document");
-  flags.add("log-level", "",
-            "log threshold: debug|info|warn|error|off (default: MCC_LOG_LEVEL "
-            "env, else warn)");
+  flags.add_enum("log-level", "",
+                 "log threshold (default: MCC_LOG_LEVEL env, else warn)",
+                 {"", "debug", "info", "warn", "error", "off"});
 }
 
-sweep_options sweep_options_from_flags(const util::flag_set& flags,
-                                       std::uint64_t base_seed) {
+sweep_options sweep_options_from_flags(const util::flag_set& flags) {
   // Env fallback first, then the flag on top — an explicit --log-level wins.
   if (const auto bad_env = util::apply_log_level_env()) {
     std::fprintf(stderr, "bad MCC_LOG_LEVEL value '%s' (expected one of "
                  "debug, info, warn, error, off)\n", bad_env->c_str());
     std::exit(1);
   }
-  const std::string level_name = flags.str("log-level");
-  if (!level_name.empty()) {
-    if (const auto level = util::log_level_from_name(level_name)) {
-      util::set_log_level(*level);
-    } else {
-      std::fprintf(stderr, "bad value for --log-level: '%s' (expected one of "
-                   "debug, info, warn, error, off)\n", level_name.c_str());
-      std::exit(1);
-    }
+  if (const std::string level = flags.str("log-level"); !level.empty()) {
+    util::set_log_level(*util::log_level_from_name(level));
   }
   sweep_options opts;
   opts.jobs = static_cast<int>(flags.i64("jobs"));
-  opts.base_seed = base_seed;
+  opts.base_seed =
+      flags.has("seed") ? static_cast<std::uint64_t>(flags.i64("seed")) : 0;
   opts.trace = !flags.str("trace").empty();
   if (flags.boolean("profile")) opts.profile = std::make_shared<sweep_profile>();
   return opts;
@@ -291,51 +290,47 @@ void write_json(std::ostream& os, const std::string& bench,
   os << "\n}\n";
 }
 
-void maybe_write_json(const util::flag_set& flags, const std::string& bench,
-                      const std::vector<sweep_row>& rows,
-                      const sweep_options& opts) {
-  const std::string path = flags.str("json");
-  if (path.empty()) return;
-  std::ofstream out(path);
-  util::require(out.good(), "sweep: cannot open --json file", path);
-  write_json(out, bench, rows, opts.profile.get());
-  out.flush();
-  util::require(out.good(), "sweep: write to --json file failed", path);
-  std::fprintf(stderr, "wrote %s\n", path.c_str());
-}
-
-void maybe_write_trace(const util::flag_set& flags,
-                       const std::vector<sweep_row>& rows) {
-  const std::string path = flags.str("trace");
-  if (path.empty()) return;
-  // Container layout (docs/observability.md): "MCCT" magic, u32 version,
-  // u32 segment count, then per traced row: u32 row index + u64 blob size +
-  // the row's serialized trace_buffer segment. Rows are visited in grid
-  // order, so the file is byte-identical across --jobs settings.
-  std::ofstream out(path, std::ios::binary);
-  util::require(out.good(), "sweep: cannot open --trace file", path);
-  std::uint32_t segments = 0;
-  for (const sweep_row& row : rows) {
-    if (!row.trace_blob.empty()) ++segments;
+void write_outputs(const util::flag_set& flags, const std::string& bench,
+                   const std::vector<sweep_row>& rows,
+                   const sweep_options& opts) {
+  if (const std::string path = flags.str("json"); !path.empty()) {
+    std::ofstream out(path);
+    util::require(out.good(), "sweep: cannot open --json file", path);
+    write_json(out, bench, rows, opts.profile.get());
+    out.flush();
+    util::require(out.good(), "sweep: write to --json file failed", path);
+    std::fprintf(stderr, "wrote %s\n", path.c_str());
   }
-  const auto put_u32 = [&out](std::uint32_t v) {
-    out.write(reinterpret_cast<const char*>(&v), sizeof v);
-  };
-  out.write("MCCT", 4);
-  put_u32(1);  // container version
-  put_u32(segments);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const sweep_row& row = rows[i];
-    if (row.trace_blob.empty()) continue;
-    put_u32(static_cast<std::uint32_t>(i));
-    const std::uint64_t size = row.trace_blob.size();
-    out.write(reinterpret_cast<const char*>(&size), sizeof size);
-    out.write(row.trace_blob.data(),
-              static_cast<std::streamsize>(row.trace_blob.size()));
+  if (const std::string path = flags.str("trace"); !path.empty()) {
+    // Container layout (docs/observability.md): "MCCT" magic, u32 version,
+    // u32 segment count, then per traced row: u32 row index + u64 blob size +
+    // the row's serialized trace_buffer segment. Rows are visited in grid
+    // order, so the file is byte-identical across --jobs settings.
+    std::ofstream out(path, std::ios::binary);
+    util::require(out.good(), "sweep: cannot open --trace file", path);
+    std::uint32_t segments = 0;
+    for (const sweep_row& row : rows) {
+      if (!row.trace_blob.empty()) ++segments;
+    }
+    const auto put_u32 = [&out](std::uint32_t v) {
+      out.write(reinterpret_cast<const char*>(&v), sizeof v);
+    };
+    out.write("MCCT", 4);
+    put_u32(1);  // container version
+    put_u32(segments);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const sweep_row& row = rows[i];
+      if (row.trace_blob.empty()) continue;
+      put_u32(static_cast<std::uint32_t>(i));
+      const std::uint64_t size = row.trace_blob.size();
+      out.write(reinterpret_cast<const char*>(&size), sizeof size);
+      out.write(row.trace_blob.data(),
+                static_cast<std::streamsize>(row.trace_blob.size()));
+    }
+    out.flush();
+    util::require(out.good(), "sweep: write to --trace file failed", path);
+    std::fprintf(stderr, "wrote %s\n", path.c_str());
   }
-  out.flush();
-  util::require(out.good(), "sweep: write to --trace file failed", path);
-  std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
 
 }  // namespace mcc::exp

@@ -20,6 +20,7 @@
 #include <iosfwd>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,6 +73,8 @@ struct sweep_options {
 };
 
 /// Registers the sweep-standard flags on a bench's flag set:
+///   --seed N        base seed of the grid (an integer; declared only when
+///                   `default_seed` is given — analytic benches have none)
 ///   --jobs N        worker threads for the parameter grid
 ///   --json PATH     also write machine-readable results to PATH
 ///   --trace PATH    write the deterministic event trace to PATH
@@ -81,15 +84,16 @@ struct sweep_options {
 ///                   BENCH files byte-for-byte)
 ///   --log-level L   debug|info|warn|error|off; empty (the default) falls
 ///                   back to MCC_LOG_LEVEL, else keeps "warn"
-void add_sweep_flags(util::flag_set& flags);
+void add_sweep_flags(util::flag_set& flags,
+                     std::optional<std::int64_t> default_seed);
 
-/// Reads the standard flags back (--jobs, --trace, --profile); `base_seed` is
-/// the bench's own seed flag. Also applies --log-level (flag wins over the
-/// MCC_LOG_LEVEL env fallback) to util::set_log_level; a bad level name
-/// prints a friendly message and exits(1), like any other bad flag value
-/// (bench-main glue).
+/// Reads the standard flags back (--seed, --jobs, --trace, --profile; the
+/// base seed is 0 without --seed). Also applies --log-level (flag wins over
+/// the MCC_LOG_LEVEL env fallback) to util::set_log_level; a bad
+/// MCC_LOG_LEVEL prints a friendly message and exits(1), like a bad flag
+/// value (bench-main glue).
 [[nodiscard]] sweep_options sweep_options_from_flags(
-    const util::flag_set& flags, std::uint64_t base_seed);
+    const util::flag_set& flags);
 
 /// One grid point's reported results: named scalar values plus named series.
 struct sweep_row {
@@ -106,7 +110,7 @@ struct sweep_row {
   obs::metric_snapshot metrics;
   /// Serialized obs::trace_buffer segment ("" = tracing off; run_sweep fills
   /// it under sweep_options::trace), merged in row order by
-  /// maybe_write_trace, so the trace file is jobs-invariant too.
+  /// write_outputs, so the trace file is jobs-invariant too.
   std::string trace_blob;
 
   sweep_row& value(std::string name, double v) {
@@ -147,20 +151,15 @@ void write_json(std::ostream& os, const std::string& bench,
                 const std::vector<sweep_row>& rows,
                 const sweep_profile* profile = nullptr);
 
-/// Honors a bench's --json flag: empty value = no-op, otherwise writes the
-/// JSON document to the named file (stderr note on success, throws on I/O
-/// failure), with the "profile" block when the run that produced `rows`
-/// profiled (opts.profile).
-void maybe_write_json(const util::flag_set& flags, const std::string& bench,
-                      const std::vector<sweep_row>& rows,
-                      const sweep_options& opts);
-
-/// Honors a bench's --trace flag: empty value = no-op, otherwise writes the
-/// rows' trace blobs to the named file in row order ("MCCT" container; see
-/// docs/observability.md), byte-identical across --jobs. Rows without a blob
-/// are skipped.
-void maybe_write_trace(const util::flag_set& flags,
-                       const std::vector<sweep_row>& rows);
+/// Honors a bench's --json and --trace flags; an empty value skips that
+/// file. --json writes the JSON document, with the "profile" block when the
+/// run that produced `rows` profiled (opts.profile). --trace writes the rows'
+/// trace blobs in row order ("MCCT" container; see docs/observability.md),
+/// byte-identical across --jobs; rows without a blob are skipped. Each
+/// written file gets a stderr note; an I/O failure throws.
+void write_outputs(const util::flag_set& flags, const std::string& bench,
+                   const std::vector<sweep_row>& rows,
+                   const sweep_options& opts);
 
 }  // namespace mcc::exp
 

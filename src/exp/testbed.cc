@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "adversary/containment.h"
 #include "crypto/prng.h"
@@ -573,7 +574,7 @@ session_rollup session_rollup_for(const std::vector<flid_session*>& sessions,
 }
 
 // ---------------------------------------------------------------------------
-// AQM flag glue
+// AQM and attack-window flag glue
 // ---------------------------------------------------------------------------
 
 void add_aqm_flags(util::flag_set& flags) {
@@ -582,14 +583,25 @@ void add_aqm_flags(util::flag_set& flags) {
                  "entry",
                  {"droptail", "ecn", "ecn_threshold", "red", "codel", "all"},
                  /*csv_list=*/true);
-  flags.add("ecn-threshold", "0.5", "ecn: mark above this occupancy fraction");
-  flags.add("red-min", "0.15", "red: min threshold, fraction of capacity");
-  flags.add("red-max", "0.5", "red: max threshold, fraction of capacity");
-  flags.add("red-maxp", "0.1", "red: drop probability at the max threshold");
-  flags.add("red-weight", "0.002", "red: EWMA weight");
+  // The policy constructors check these too, but only once a world is
+  // built; the declarations reject a bad value before anything runs.
+  const util::range fraction{.lo = 1e-9, .hi = 1.0};
+  const util::range millis{.lo = 1.0, .hi = 1e9};
+  flags.add_range("ecn-threshold", "0.5",
+                  "ecn: mark above this occupancy fraction",
+                  {.lo = 0.0, .hi = 1.0});
+  flags.add_range("red-min", "0.15", "red: min threshold, fraction of capacity",
+                  fraction);
+  flags.add_range("red-max", "0.5", "red: max threshold, fraction of capacity",
+                  fraction);
+  flags.add_range("red-maxp", "0.1",
+                  "red: drop probability at the max threshold", fraction);
+  flags.add_range("red-weight", "0.002", "red: EWMA weight", fraction);
   flags.add("red-gentle", "true", "red: ramp to certain drop over [max,2max]");
-  flags.add("codel-target", "5", "codel: target sojourn time, ms");
-  flags.add("codel-interval", "100", "codel: control interval, ms");
+  flags.add_range("codel-target", "5", "codel: target sojourn time, ms",
+                  millis);
+  flags.add_range("codel-interval", "100", "codel: control interval, ms",
+                  millis);
 }
 
 std::vector<sim::qdisc> qdisc_list_from_flags(const util::flag_set& flags) {
@@ -600,59 +612,43 @@ std::vector<sim::qdisc> qdisc_list_from_flags(const util::flag_set& flags) {
   }
   std::vector<sim::qdisc> out;
   for (const std::string& name : util::split_csv(spec)) {
-    const auto d = sim::qdisc_from_name(name);
-    if (!d.has_value()) {
-      // A typo on the command line, not a program invariant: fail with the
-      // same friendly UX as a bad numeric flag value.
-      std::fprintf(stderr,
-                   "bad value for --qdisc: '%s' (expected droptail, ecn, red, "
-                   "codel, a comma list, or all)\n",
-                   name.c_str());
-      std::exit(1);
-    }
-    out.push_back(*d);
+    out.push_back(*sim::qdisc_from_name(name));
   }
   return out;
 }
 
-sim::aqm_config aqm_config_from_flags(const util::flag_set& flags) {
-  // Range-check here, with the friendly bad-flag UX: the policy constructors
-  // also validate, but they throw on a sweep worker thread where an uncaught
-  // invariant_error is always std::terminate.
-  const auto checked = [&](const char* flag, double lo, double hi,
-                           const char* expect) {
-    const double v = flags.f64(flag);
-    if (!(v >= lo && v <= hi)) {
-      std::fprintf(stderr, "bad value for --%s: %g (expected %s)\n", flag, v,
-                   expect);
-      std::exit(1);
-    }
-    return v;
-  };
+std::optional<sim::aqm_config> aqm_config_from_flags(
+    const util::flag_set& flags) {
   sim::aqm_config cfg;
   cfg.discipline = qdisc_list_from_flags(flags).front();
-  cfg.ecn_threshold_fraction =
-      checked("ecn-threshold", 0.0, 1.0, "a fraction in [0, 1]");
-  cfg.red.min_fraction =
-      checked("red-min", 1e-9, 1.0, "a capacity fraction in (0, 1]");
-  cfg.red.max_fraction =
-      checked("red-max", 1e-9, 1.0, "a capacity fraction in (0, 1]");
+  cfg.ecn_threshold_fraction = flags.f64("ecn-threshold");
+  cfg.red.min_fraction = flags.f64("red-min");
+  cfg.red.max_fraction = flags.f64("red-max");
   if (cfg.red.min_fraction >= cfg.red.max_fraction) {
     std::fprintf(stderr, "bad value for --red-min/--red-max: %g >= %g "
                          "(expected min < max)\n",
                  cfg.red.min_fraction, cfg.red.max_fraction);
-    std::exit(1);
+    return std::nullopt;
   }
-  cfg.red.max_prob =
-      checked("red-maxp", 1e-9, 1.0, "a probability in (0, 1]");
-  cfg.red.weight =
-      checked("red-weight", 1e-9, 1.0, "an EWMA weight in (0, 1]");
+  cfg.red.max_prob = flags.f64("red-maxp");
+  cfg.red.weight = flags.f64("red-weight");
   cfg.red.gentle = flags.boolean("red-gentle");
-  cfg.codel.target = sim::milliseconds(static_cast<std::int64_t>(
-      checked("codel-target", 1.0, 1e9, "a positive millisecond count")));
-  cfg.codel.interval = sim::milliseconds(static_cast<std::int64_t>(
-      checked("codel-interval", 1.0, 1e9, "a positive millisecond count")));
+  cfg.codel.target = sim::milliseconds(
+      static_cast<std::int64_t>(flags.f64("codel-target")));
+  cfg.codel.interval = sim::milliseconds(
+      static_cast<std::int64_t>(flags.f64("codel-interval")));
   return cfg;
+}
+
+bool attack_window_ok(const util::flag_set& flags, const char* onset_flag) {
+  const double duration = flags.f64("duration");
+  const double onset = flags.f64(onset_flag);
+  if (duration > onset + 10.0) return true;
+  std::fprintf(stderr,
+               "bad value for --duration/--%s: %g/%g (need duration > %s + "
+               "10 s so the post-attack window is non-empty)\n",
+               onset_flag, duration, onset, onset_flag);
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -666,71 +662,31 @@ void add_axis_flag(util::flag_set& flags, const char* name, const char* def,
 }
 
 void add_probation_memory_slots_flag(util::flag_set& flags) {
-  flags.add("probation-memory-slots", "8",
-            "probation-memory window length in slots when on");
-}
-
-int probation_memory_slots_from_flags(const util::flag_set& flags) {
-  const std::int64_t slots = flags.i64("probation-memory-slots");
-  if (slots < 1 || slots > 1 << 20) {
-    std::fprintf(stderr,
-                 "bad value for --probation-memory-slots: '%lld' (expected a "
-                 "slot count in [1, 2^20])\n",
-                 static_cast<long long>(slots));
-    std::exit(1);
-  }
-  return static_cast<int>(slots);
+  flags.add_range("probation-memory-slots", "8",
+                  "probation-memory window length in slots when on",
+                  {.lo = 1, .hi = 1 << 20, .integer = true});
 }
 
 void add_cm_flags(util::flag_set& flags) {
-  flags.add("cm-entries", "64", "cm: LRU state-cache capacity, entries");
-  flags.add("cm-aging", "8", "cm: staleness window, slots");
-  flags.add("cm-threshold", "0.25",
-            "cm: congestion EWMA level the cap binds above");
-  flags.add("cm-headroom", "1.3", "cm: fair-rate multiplier for the cap");
+  // The cm_config constructor checks these too, but only once a world is
+  // built; the declarations reject a bad value before anything runs.
+  flags.add_range("cm-entries", "64", "cm: LRU state-cache capacity, entries",
+                  {.lo = 1, .hi = 1 << 20, .integer = true});
+  flags.add_range("cm-aging", "8", "cm: staleness window, slots",
+                  {.lo = 1, .hi = 1 << 20, .integer = true});
+  flags.add_range("cm-threshold", "0.25",
+                  "cm: congestion EWMA level the cap binds above",
+                  {.lo = 0.0, .hi = 1.0});
+  flags.add_range("cm-headroom", "1.3", "cm: fair-rate multiplier for the cap",
+                  {.lo = util::above_zero, .hi = 100.0});
 }
 
 cm::cm_config cm_config_from_flags(const util::flag_set& flags) {
-  // Range-check with the friendly bad-flag UX: the cm_config constructor
-  // checks too, but its invariant_error would surface out of a sweep worker
-  // thread as std::terminate instead of a flag message.
   cm::cm_config cfg;
-  const std::int64_t entries = flags.i64("cm-entries");
-  if (entries < 1 || entries > 1 << 20) {
-    std::fprintf(stderr,
-                 "bad value for --cm-entries: '%lld' (expected an entry "
-                 "count in [1, 2^20])\n",
-                 static_cast<long long>(entries));
-    std::exit(1);
-  }
-  cfg.max_entries = static_cast<int>(entries);
-  const std::int64_t aging = flags.i64("cm-aging");
-  if (aging < 1 || aging > 1 << 20) {
-    std::fprintf(stderr,
-                 "bad value for --cm-aging: '%lld' (expected a slot count in "
-                 "[1, 2^20])\n",
-                 static_cast<long long>(aging));
-    std::exit(1);
-  }
-  cfg.aging_slots = aging;
-  const double threshold = flags.f64("cm-threshold");
-  if (!(threshold >= 0.0 && threshold <= 1.0)) {
-    std::fprintf(stderr,
-                 "bad value for --cm-threshold: %g (expected a fraction in "
-                 "[0, 1])\n",
-                 threshold);
-    std::exit(1);
-  }
-  cfg.congestion_threshold = threshold;
-  const double headroom = flags.f64("cm-headroom");
-  if (!(headroom > 0.0 && headroom <= 100.0)) {
-    std::fprintf(stderr,
-                 "bad value for --cm-headroom: %g (expected a multiplier in "
-                 "(0, 100])\n",
-                 headroom);
-    std::exit(1);
-  }
-  cfg.headroom = headroom;
+  cfg.max_entries = static_cast<int>(flags.i64("cm-entries"));
+  cfg.aging_slots = flags.i64("cm-aging");
+  cfg.congestion_threshold = flags.f64("cm-threshold");
+  cfg.headroom = flags.f64("cm-headroom");
   return cfg;
 }
 
@@ -740,31 +696,31 @@ cm::cm_config cm_config_from_flags(const util::flag_set& flags) {
 
 namespace {
 
-[[noreturn]] void bad_flag(const char* flag, const std::string& v,
-                           const char* expected) {
-  std::fprintf(stderr, "bad value for --%s: '%s' (expected %s)\n", flag,
-               v.c_str(), expected);
-  std::exit(1);
-}
-
-/// Parses the non-negative number after a `key:` prefix; the whole spec is
-/// echoed in the bad-flag message so the offending list item is visible.
-double spec_number(const char* flag, const std::string& spec,
-                   const std::string& tok, const char* expected) {
+/// The non-negative number after a `key:` prefix of a --demand/--churn spec;
+/// nullopt when it does not parse.
+std::optional<double> spec_number(const std::string& tok) {
   char* end = nullptr;
   const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || *end != '\0' || !(v >= 0.0)) {
-    bad_flag(flag, spec, expected);
-  }
+  if (end == tok.c_str() || *end != '\0' || !(v >= 0.0)) return std::nullopt;
   return v;
+}
+
+/// Prints the bad-flag message, echoing the whole spec so the offending list
+/// item is visible; always nullopt, for `return bad_spec(...)`.
+std::nullopt_t bad_spec(const char* flag, const std::string& spec,
+                        const char* expected) {
+  std::fprintf(stderr, "bad value for --%s: '%s' (expected %s)\n", flag,
+               spec.c_str(), expected);
+  return std::nullopt;
 }
 
 }  // namespace
 
 void add_population_flags(util::flag_set& flags, const char* default_sizes) {
-  flags.add("population", default_sizes,
-            "aggregated population size(s): comma-separated member counts, "
-            "one grid axis entry each");
+  flags.add_range("population", default_sizes,
+                  "aggregated population size(s): comma-separated member "
+                  "counts, one grid axis entry each",
+                  {.lo = 0, .integer = true, .list = true});
   flags.add("demand", "zipf:1.1",
             "member layer demand: max | uniform | zipf:S");
   flags.add("churn", "none",
@@ -772,7 +728,7 @@ void add_population_flags(util::flag_set& flags, const char* default_sizes) {
             "flash:T:N, flash-leave:T (R members/s, T seconds, N members)");
 }
 
-population::population_config population_config_from_flags(
+std::optional<population::population_config> population_config_from_flags(
     const util::flag_set& flags) {
   population::population_config cfg;
 
@@ -783,56 +739,43 @@ population::population_config population_config_from_flags(
     cfg.demand.k = population::demand_config::kind::uniform;
   } else if (demand.rfind("zipf:", 0) == 0) {
     cfg.demand.k = population::demand_config::kind::zipf;
-    cfg.demand.zipf_s = spec_number("demand", demand, demand.substr(5),
-                                    "max, uniform, or zipf:S with S >= 0");
+    const auto s = spec_number(demand.substr(5));
+    if (!s) {
+      return bad_spec("demand", demand,
+                      "max, uniform, or zipf:S with S >= 0");
+    }
+    cfg.demand.zipf_s = *s;
   } else {
-    bad_flag("demand", demand, "max, uniform, or zipf:S");
+    return bad_spec("demand", demand, "max, uniform, or zipf:S");
   }
 
   const std::string churn = flags.str("churn");
-  if (churn != "none") {
-    static const char* churn_expect =
-        "none, or comma list of arrive:R, leave:R, flash:T:N, flash-leave:T";
-    for (const std::string& item : util::split_csv(churn)) {
-      if (item.rfind("arrive:", 0) == 0) {
-        cfg.churn.arrival_per_sec =
-            spec_number("churn", churn, item.substr(7), churn_expect);
-      } else if (item.rfind("leave:", 0) == 0) {
-        cfg.churn.leave_per_sec =
-            spec_number("churn", churn, item.substr(6), churn_expect);
-      } else if (item.rfind("flash-leave:", 0) == 0) {
-        cfg.churn.flash_leave_at = sim::seconds(
-            spec_number("churn", churn, item.substr(12), churn_expect));
-      } else if (item.rfind("flash:", 0) == 0) {
-        const std::string rest = item.substr(6);
-        const std::size_t colon = rest.find(':');
-        if (colon == std::string::npos) bad_flag("churn", churn, churn_expect);
-        cfg.churn.flash_at = sim::seconds(
-            spec_number("churn", churn, rest.substr(0, colon), churn_expect));
-        cfg.churn.flash_members = static_cast<std::int64_t>(spec_number(
-            "churn", churn, rest.substr(colon + 1), churn_expect));
-      } else {
-        bad_flag("churn", churn, churn_expect);
-      }
+  if (churn == "none") return cfg;
+  for (const std::string& item : util::split_csv(churn)) {
+    const std::size_t colon = item.find(':');
+    const std::string key = item.substr(0, colon);
+    const std::string arg =
+        colon == std::string::npos ? "" : item.substr(colon + 1);
+    const std::size_t split = arg.find(':');  // flash:T:N only
+    const auto v = spec_number(key == "flash" ? arg.substr(0, split) : arg);
+    std::optional<double> n;
+    if (split != std::string::npos) n = spec_number(arg.substr(split + 1));
+    if (v && key == "arrive") {
+      cfg.churn.arrival_per_sec = *v;
+    } else if (v && key == "leave") {
+      cfg.churn.leave_per_sec = *v;
+    } else if (v && key == "flash-leave") {
+      cfg.churn.flash_leave_at = sim::seconds(*v);
+    } else if (v && n && key == "flash") {
+      cfg.churn.flash_at = sim::seconds(*v);
+      cfg.churn.flash_members = static_cast<std::int64_t>(*n);
+    } else {
+      return bad_spec("churn", churn,
+                      "none, or comma list of arrive:R, leave:R, flash:T:N, "
+                      "flash-leave:T");
     }
   }
   return cfg;
-}
-
-std::vector<std::int64_t> population_axis_from_flags(
-    const util::flag_set& flags) {
-  const std::string spec = flags.str("population");
-  std::vector<std::int64_t> out;
-  for (const std::string& tok : util::split_csv(spec)) {
-    const double v = spec_number("population", spec, tok,
-                                 "comma-separated non-negative member counts");
-    out.push_back(static_cast<std::int64_t>(v));
-  }
-  if (out.empty()) {
-    bad_flag("population", spec,
-             "comma-separated non-negative member counts");
-  }
-  return out;
 }
 
 }  // namespace mcc::exp

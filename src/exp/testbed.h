@@ -397,8 +397,11 @@ struct tree_config : world_options {
     sim::time_ns t1);
 
 // ---------------------------------------------------------------------------
-// AQM flag glue: every bench that sweeps queue disciplines registers the
-// same flags and decodes them the same way.
+// Bench flag glue: every bench that sweeps queue disciplines, countermeasure
+// axes or populations registers the same flags and decodes them the same
+// way. Each flag's valid values live in its declaration (util::flag_set
+// rejects a bad value at parse time), so the decoders below only check
+// relations between flags and the --demand/--churn mini-grammars.
 // ---------------------------------------------------------------------------
 
 /// Registers the shared AQM flags on a bench's flag set:
@@ -416,15 +419,22 @@ void add_aqm_flags(util::flag_set& flags);
 
 /// Decodes the parameter flags into an aqm_config. The discipline is set to
 /// the FIRST entry of --qdisc; benches sweeping several override it per grid
-/// point. An unknown discipline name prints a friendly message and exits(1),
-/// like any other bad flag value (bench-main glue, not library API).
-[[nodiscard]] sim::aqm_config aqm_config_from_flags(
+/// point. nullopt (after a bad-flag message) when --red-min is not below
+/// --red-max.
+[[nodiscard]] std::optional<sim::aqm_config> aqm_config_from_flags(
     const util::flag_set& flags);
 
 /// The full --qdisc list in declaration order ("all" expands to every
-/// discipline). Same bad-name behaviour as aqm_config_from_flags.
+/// discipline).
 [[nodiscard]] std::vector<sim::qdisc> qdisc_list_from_flags(
     const util::flag_set& flags);
+
+/// True when --duration leaves a non-empty window after the attack onset
+/// flag `onset_flag` (duration > onset + 10 s, the settling time every
+/// post-attack measurement skips); otherwise prints a bad-flag message and
+/// returns false. Benches with an onset call it before the sweep.
+[[nodiscard]] bool attack_window_ok(const util::flag_set& flags,
+                                    const char* onset_flag);
 
 // ---------------------------------------------------------------------------
 // World-switch flag glue: each countermeasure of world_options is one
@@ -450,31 +460,26 @@ template <typename T>
   return {off, on};
 }
 
-/// Registers --probation-memory-slots N, the world_options::
+/// Registers --probation-memory-slots N in [1, 2^20], the world_options::
 /// probation_memory_slots value of a --probation-memory cell that is on
 /// (default 8).
 void add_probation_memory_slots_flag(util::flag_set& flags);
 
-/// Decodes --probation-memory-slots; a count outside [1, 2^20] prints a
-/// friendly message and exits(1) — bench-main glue, like the AQM flags.
-[[nodiscard]] int probation_memory_slots_from_flags(
-    const util::flag_set& flags);
-
 /// Registers the parameter flags of the shared congestion manager
 /// (world_options::cm_params), read when a --cm cell is on:
-///   --cm-entries N   LRU state-cache capacity
-///   --cm-aging N     staleness window, slots
-///   --cm-threshold F congestion EWMA level the cap binds above
-///   --cm-headroom F  fair-rate multiplier for the level cap
+///   --cm-entries N   LRU state-cache capacity, in [1, 2^20]
+///   --cm-aging N     staleness window, slots, in [1, 2^20]
+///   --cm-threshold F congestion EWMA level the cap binds above, in [0, 1]
+///   --cm-headroom F  fair-rate multiplier for the level cap, in (0, 100]
 void add_cm_flags(util::flag_set& flags);
 
-/// Decodes the --cm-* parameter flags into a cm_config, with the friendly
-/// bad-flag UX on out-of-range values.
+/// Decodes the --cm-* parameter flags into a cm_config.
 [[nodiscard]] cm::cm_config cm_config_from_flags(const util::flag_set& flags);
 
 /// Registers the shared population flags on a bench's flag set:
 ///   --population LIST  aggregated population size(s), comma-separated
-///                      member counts (benches sweep one grid axis per entry)
+///                      non-negative member counts (benches sweep one grid
+///                      axis per entry; read with flag_set::i64_list)
 ///   --demand SPEC      max | uniform | zipf:S (layer-demand distribution)
 ///   --churn SPEC       none, or comma list of arrive:R, leave:R,
 ///                      flash:T:N, flash-leave:T (R per second, T seconds,
@@ -483,15 +488,10 @@ void add_population_flags(util::flag_set& flags,
                           const char* default_sizes = "1000000");
 
 /// Decodes --demand / --churn into a population_config (members left 0; the
-/// bench fills it per grid point from the --population axis). Unknown specs
-/// print a friendly message and exit(1) — bench-main glue, like the AQM
-/// flags.
-[[nodiscard]] population::population_config population_config_from_flags(
-    const util::flag_set& flags);
-
-/// The --population axis: one population size per comma-separated entry.
-[[nodiscard]] std::vector<std::int64_t> population_axis_from_flags(
-    const util::flag_set& flags);
+/// bench fills it per grid point from the --population axis). nullopt
+/// (after a bad-flag message) when a spec does not parse.
+[[nodiscard]] std::optional<population::population_config>
+population_config_from_flags(const util::flag_set& flags);
 
 }  // namespace mcc::exp
 

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <optional>
@@ -50,78 +51,127 @@ std::optional<double> parse_f64(const std::string& s) {
   }
 }
 
-}  // namespace
-
-flag_set::flag_set(std::string program_description)
-    : description_(std::move(program_description)) {}
-
-void flag_set::add(const std::string& name, const std::string& default_value,
-                   const std::string& help) {
-  require(!entries_.contains(name), "duplicate flag", name);
-  entry e{default_value, default_value, help, kind::other};
-  // An integer-looking default still marks the flag merely numeric: many
-  // benches declare "--duration 120" but read it with f64(), so "12.5" must
-  // stay a valid value.
-  if (parse_f64(default_value).has_value()) e.k = kind::numeric;
-  entries_[name] = std::move(e);
+/// i64()'s spelling rule: a whole-string integer, or an integral number in
+/// int64 range ("1e6", "250.0"); nullopt for "2.5" or garbage.
+std::optional<std::int64_t> parse_integer(const std::string& s) {
+  if (const auto v = parse_i64(s)) return v;
+  const auto real = parse_f64(s);
+  if (!real.has_value() || *real != std::trunc(*real) || *real < -9.2e18 ||
+      *real > 9.2e18) {
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(*real);
 }
 
-namespace {
+bool number_ok(const range& r, const std::string& s) {
+  const auto v = parse_f64(s);
+  if (!v.has_value() || (r.integer && !parse_integer(s).has_value())) {
+    return false;
+  }
+  return *v >= r.lo && *v <= r.hi;
+}
 
 std::string join_allowed(const std::vector<std::string>& allowed) {
   std::string out;
   for (const std::string& a : allowed) {
     if (!out.empty()) out += ", ";
-    out += a;
+    out += a.empty() ? "''" : a;
   }
   return out;
 }
 
-bool enum_value_ok(const std::vector<std::string>& allowed, bool csv_list,
-                   const std::string& value) {
-  const auto ok_one = [&](const std::string& v) {
-    for (const std::string& a : allowed) {
-      if (v == a) return true;
+/// Powers of two from 2^10 up print as such ("[1, 2^20]"), the rest as %g.
+std::string bound_text(double v) {
+  int exponent = 0;
+  if (v >= 1024.0 && std::frexp(v, &exponent) == 0.5) {
+    return "2^" + std::to_string(exponent - 1);
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
+}
+
+std::string range_text(const range& r) {
+  std::string out = r.integer ? "an integer" : "a number";
+  const bool open_zero = r.lo == above_zero;
+  if (std::isfinite(r.lo) && std::isfinite(r.hi)) {
+    out += " in " + (open_zero ? std::string("(0") : "[" + bound_text(r.lo)) +
+           ", " + bound_text(r.hi) + "]";
+  } else if (std::isfinite(r.lo)) {
+    out += open_zero ? " > 0" : " >= " + bound_text(r.lo);
+  } else if (std::isfinite(r.hi)) {
+    out += " <= " + bound_text(r.hi);
+  }
+  return out;
+}
+
+}  // namespace
+
+flag_set::flag_set(std::string program_description)
+    : description_(std::move(program_description)) {}
+
+bool flag_set::value_ok(const entry& e, const std::string& value) {
+  const bool list = e.k == kind::numeric ? e.valid.list : e.csv_list;
+  const std::vector<std::string> parts =
+      list ? split_csv(value) : std::vector<std::string>{value};
+  for (const std::string& part : parts) {
+    if (e.k == kind::numeric && !number_ok(e.valid, part)) return false;
+    if (e.k == kind::enumerated &&
+        (std::ranges::find(e.allowed, part) == e.allowed.end() ||
+         (parts.size() > 1 && part == "all"))) {
+      return false;
     }
-    return false;
-  };
-  if (!csv_list) return ok_one(value);
-  for (const std::string& part : split_csv(value)) {
-    if (!ok_one(part)) return false;
   }
   return true;
 }
 
-}  // namespace
+std::string flag_set::expected(const entry& e) {
+  const bool list = e.k == kind::numeric ? e.valid.list : e.csv_list;
+  return (e.k == kind::numeric ? range_text(e.valid)
+                               : "one of " + join_allowed(e.allowed)) +
+         (list ? ", or a comma-separated list of them" : "");
+}
+
+void flag_set::declare(const std::string& name, entry e) {
+  require(!entries_.contains(name), "duplicate flag", name);
+  require(value_ok(e, e.default_value), "flag default fails its declaration",
+          name);
+  entries_[name] = std::move(e);
+}
+
+void flag_set::add(const std::string& name, const std::string& default_value,
+                   const std::string& help) {
+  // An integer-looking default still marks the flag merely numeric: many
+  // benches declare "--duration 120" but read it with f64(), so "12.5" must
+  // stay a valid value.
+  declare(name, {default_value, default_value, help,
+                 parse_f64(default_value).has_value() ? kind::numeric
+                                                      : kind::other});
+}
+
+void flag_set::add_range(const std::string& name,
+                         const std::string& default_value,
+                         const std::string& help, range valid) {
+  require(valid.lo <= valid.hi, "add_range: empty range", name);
+  declare(name, {default_value, default_value, help, kind::numeric, valid});
+}
 
 void flag_set::add_enum(const std::string& name,
                         const std::string& default_value,
                         const std::string& help,
                         std::vector<std::string> allowed, bool csv_list) {
-  require(!entries_.contains(name), "duplicate flag", name);
   require(!allowed.empty(), "add_enum: empty allowed set", name);
-  entry e{default_value, default_value, help, kind::enumerated,
-          std::move(allowed), csv_list};
-  require(enum_value_ok(e.allowed, e.csv_list, default_value),
-          "add_enum: default not in allowed set", name);
-  entries_[name] = std::move(e);
+  declare(name, {default_value, default_value, help, kind::enumerated, {},
+                 std::move(allowed), csv_list});
 }
 
 bool flag_set::set_value(const std::string& name, const std::string& value) {
   auto it = entries_.find(name);
   require(it != entries_.end(), "set_value: undeclared flag", name);
   entry& e = it->second;
-  if (e.k == kind::numeric && !parse_f64(value).has_value()) {
-    std::fprintf(stderr, "bad value for --%s: '%s' (expected a number)\n",
-                 name.c_str(), value.c_str());
-    return false;
-  }
-  if (e.k == kind::enumerated &&
-      !enum_value_ok(e.allowed, e.csv_list, value)) {
-    std::fprintf(stderr, "bad value for --%s: '%s' (expected one of %s%s)\n",
-                 name.c_str(), value.c_str(),
-                 join_allowed(e.allowed).c_str(),
-                 e.csv_list ? ", or a comma-separated list of them" : "");
+  if (!value_ok(e, value)) {
+    std::fprintf(stderr, "bad value for --%s: '%s' (expected %s)\n",
+                 name.c_str(), value.c_str(), expected(e).c_str());
     return false;
   }
   e.value = value;  // repeated flags are last-wins
@@ -139,30 +189,21 @@ bool flag_set::parse(int argc, const char* const* argv) {
       positional_.push_back(arg);
       continue;
     }
-    std::string name;
-    std::string value;
-    auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      name = arg.substr(2, eq - 2);
-      value = arg.substr(eq + 1);
-    } else {
-      name = arg.substr(2);
-      auto it = entries_.find(name);
-      if (it == entries_.end()) {
-        std::fprintf(stderr, "unknown flag: --%s\n", name.c_str());
-        print_usage();
-        return false;
-      }
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "flag --%s expects a value\n", name.c_str());
-        print_usage();
-        return false;
-      }
-      value = argv[++i];
-    }
-    auto it = entries_.find(name);
-    if (it == entries_.end()) {
+    const auto eq = arg.find('=');
+    const std::string name =
+        arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    if (!entries_.contains(name)) {
       std::fprintf(stderr, "unknown flag: --%s\n", name.c_str());
+      print_usage();
+      return false;
+    }
+    std::string value;
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      std::fprintf(stderr, "flag --%s expects a value\n", name.c_str());
       print_usage();
       return false;
     }
@@ -182,13 +223,21 @@ std::string flag_set::str(const std::string& name) const {
 
 std::int64_t flag_set::i64(const std::string& name) const {
   const std::string v = str(name);
-  if (const auto parsed = parse_i64(v)) return *parsed;
-  // Accept integral spellings like "1e6" or "250.0"; reject "2.5".
-  const auto real = parse_f64(v);
-  require(real.has_value() && *real == std::trunc(*real) &&
-              *real >= -9.2e18 && *real <= 9.2e18,
+  const auto parsed = parse_integer(v);
+  require(parsed.has_value(),
           "bad value for --" + name + " (expected an integer)", v);
-  return static_cast<std::int64_t>(*real);
+  return *parsed;
+}
+
+std::vector<std::int64_t> flag_set::i64_list(const std::string& name) const {
+  std::vector<std::int64_t> out;
+  for (const std::string& v : split_csv(str(name))) {
+    const auto parsed = parse_integer(v);
+    require(parsed.has_value(),
+            "bad value for --" + name + " (expected integers)", v);
+    out.push_back(*parsed);
+  }
+  return out;
 }
 
 double flag_set::f64(const std::string& name) const {
@@ -207,14 +256,14 @@ void flag_set::print_usage() const {
   if (!description_.empty()) std::fprintf(stderr, "%s\n", description_.c_str());
   std::fprintf(stderr, "flags:\n");
   for (const auto& [name, e] : entries_) {
-    if (e.k == kind::enumerated) {
-      std::fprintf(stderr, "  --%s (default: %s)  %s [one of: %s]\n",
-                   name.c_str(), e.default_value.c_str(), e.help.c_str(),
-                   join_allowed(e.allowed).c_str());
-    } else {
-      std::fprintf(stderr, "  --%s (default: %s)  %s\n", name.c_str(),
-                   e.default_value.c_str(), e.help.c_str());
-    }
+    const range& r = e.valid;
+    const bool declared = e.k == kind::enumerated ||
+                          (e.k == kind::numeric &&
+                           (std::isfinite(r.lo) || std::isfinite(r.hi) ||
+                            r.integer || r.list));
+    std::fprintf(stderr, "  --%s (default: %s)  %s%s\n", name.c_str(),
+                 e.default_value.c_str(), e.help.c_str(),
+                 declared ? (" [" + expected(e) + "]").c_str() : "");
   }
 }
 

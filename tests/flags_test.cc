@@ -226,5 +226,139 @@ TEST(flags, enum_default_must_be_listed) {
                invariant_error);
 }
 
+TEST(flags, enum_csv_all_alias_is_valid_only_on_its_own) {
+  for (const char* value : {"all", "red", "droptail,red"}) {
+    flag_set flags;
+    flags.add_enum("qdisc", "droptail", "queue discipline(s)",
+                   {"droptail", "red", "all"}, /*csv_list=*/true);
+    const std::string arg = std::string("--qdisc=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    EXPECT_TRUE(flags.parse(2, argv)) << value;
+  }
+  for (const char* value : {"all,red", "red,all"}) {
+    flag_set flags;
+    flags.add_enum("qdisc", "droptail", "queue discipline(s)",
+                   {"droptail", "red", "all"}, /*csv_list=*/true);
+    const std::string arg = std::string("--qdisc=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    EXPECT_FALSE(flags.parse(2, argv)) << value;
+  }
+}
+
+/// Parses one `--name=value` against a fresh flag set built by `declare`.
+template <typename Declare>
+bool parses(Declare declare, const std::string& name,
+            const std::string& value) {
+  flag_set flags;
+  declare(flags);
+  const std::string arg = "--" + name + "=" + value;
+  const char* argv[] = {"prog", arg.c_str()};
+  return flags.parse(2, argv);
+}
+
+TEST(flags, range_accepts_its_inclusive_bounds) {
+  const auto declare = [](flag_set& f) {
+    f.add_range("frac", "0.5", "fraction", {.lo = 0.0, .hi = 1.0});
+  };
+  for (const char* v : {"0", "1", "0.25", "1e-3"}) {
+    EXPECT_TRUE(parses(declare, "frac", v)) << v;
+  }
+}
+
+TEST(flags, range_rejects_values_just_outside_its_bounds) {
+  const auto declare = [](flag_set& f) {
+    f.add_range("kbps", "250", "rate", {.lo = 50.0, .hi = 10e3});
+  };
+  for (const char* v : {"49.999", "10000.001", "-50", "fast", ""}) {
+    EXPECT_FALSE(parses(declare, "kbps", v)) << v;
+  }
+  EXPECT_TRUE(parses(declare, "kbps", "50"));
+  EXPECT_TRUE(parses(declare, "kbps", "10000"));
+}
+
+TEST(flags, one_sided_and_open_zero_bounds) {
+  const auto at_least_5 = [](flag_set& f) {
+    f.add_range("window", "40", "seconds", {.lo = 5.0});
+  };
+  EXPECT_TRUE(parses(at_least_5, "window", "5"));
+  EXPECT_TRUE(parses(at_least_5, "window", "1e9"));
+  EXPECT_FALSE(parses(at_least_5, "window", "4.99"));
+
+  const auto positive = [](flag_set& f) {
+    f.add_range("headroom", "1.3", "multiplier",
+                {.lo = above_zero, .hi = 100.0});
+  };
+  EXPECT_FALSE(parses(positive, "headroom", "0"));
+  EXPECT_FALSE(parses(positive, "headroom", "-1e-300"));
+  EXPECT_TRUE(parses(positive, "headroom", "1e-300"));
+  EXPECT_TRUE(parses(positive, "headroom", "100"));
+}
+
+TEST(flags, integer_range_rejects_fractions_but_accepts_integral_spellings) {
+  const auto declare = [](flag_set& f) {
+    f.add_range("members", "1000", "count",
+                {.lo = 0, .hi = 1e7, .integer = true});
+  };
+  EXPECT_FALSE(parses(declare, "members", "2.5"));
+  EXPECT_FALSE(parses(declare, "members", "8x"));
+  EXPECT_TRUE(parses(declare, "members", "1e6"));
+  EXPECT_TRUE(parses(declare, "members", "250.0"));
+
+  flag_set flags;
+  declare(flags);
+  const char* argv[] = {"prog", "--members=1e6"};
+  ASSERT_TRUE(flags.parse(2, argv));
+  EXPECT_EQ(flags.i64("members"), 1000000);
+}
+
+TEST(flags, range_list_checks_every_element) {
+  const auto declare = [](flag_set& f) {
+    f.add_range("sessions", "2,8", "counts",
+                {.lo = 2, .hi = 64, .integer = true, .list = true});
+  };
+  EXPECT_TRUE(parses(declare, "sessions", "2,8,64"));
+  EXPECT_TRUE(parses(declare, "sessions", "16"));
+  for (const char* v : {"2.5", "2,8x", "2,,8", "2,65", "1,8", ""}) {
+    EXPECT_FALSE(parses(declare, "sessions", v)) << v;
+  }
+
+  flag_set flags;
+  declare(flags);
+  const char* argv[] = {"prog", "--sessions=64,2,1e1"};
+  ASSERT_TRUE(flags.parse(2, argv));
+  EXPECT_EQ(flags.i64_list("sessions"),
+            (std::vector<std::int64_t>{64, 2, 10}));
+}
+
+TEST(flags, range_default_outside_its_range_is_a_declaration_error) {
+  flag_set flags;
+  EXPECT_THROW(flags.add_range("sessions", "65", "count",
+                               {.lo = 2, .hi = 64, .integer = true}),
+               invariant_error);
+  EXPECT_THROW(flags.add_range("sessions", "2.5", "count",
+                               {.lo = 2, .hi = 64, .integer = true}),
+               invariant_error);
+  EXPECT_THROW(flags.add_range("sessions", "2,100", "counts",
+                               {.lo = 2, .hi = 64, .integer = true,
+                                .list = true}),
+               invariant_error);
+  EXPECT_THROW(flags.add_range("empty", "1", "", {.lo = 2, .hi = 1}),
+               invariant_error);
+}
+
+TEST(flags, rejection_message_names_flag_value_and_valid_values) {
+  flag_set flags;
+  flags.add_range("sessions", "2,8", "counts",
+                  {.lo = 2, .hi = 64, .integer = true, .list = true});
+  const char* argv[] = {"prog", "--sessions=2.5"};
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(flags.parse(2, argv));
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("bad value for --sessions: '2.5' (expected an integer "
+                     "in [2, 64], or a comma-separated list of them)"),
+            std::string::npos)
+      << err;
+}
+
 }  // namespace
 }  // namespace mcc::util

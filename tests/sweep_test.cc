@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -161,25 +164,82 @@ TEST(sweep, json_document_shape) {
 
 TEST(sweep, flags_register_and_read_back) {
   util::flag_set flags("test");
-  flags.add("seed", "7", "seed");
-  add_sweep_flags(flags);
+  add_sweep_flags(flags, 7);
   const char* argv[] = {"prog", "--jobs=4", "--json=out.json"};
   ASSERT_TRUE(flags.parse(3, argv));
-  const sweep_options opts =
-      sweep_options_from_flags(flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const sweep_options opts = sweep_options_from_flags(flags);
   EXPECT_EQ(opts.jobs, 4);
-  EXPECT_EQ(opts.base_seed, 7u);
+  EXPECT_EQ(opts.base_seed, 7u) << "the declared default seed";
   EXPECT_EQ(flags.str("json"), "out.json");
   EXPECT_FALSE(opts.trace) << "tracing is off unless --trace names a file";
   EXPECT_EQ(opts.profile, nullptr) << "profiling is off by default";
+
+  util::flag_set seeded("test");
+  add_sweep_flags(seeded, 7);
+  const char* seed_argv[] = {"prog", "--seed=1e3"};
+  ASSERT_TRUE(seeded.parse(2, seed_argv));
+  EXPECT_EQ(sweep_options_from_flags(seeded).base_seed, 1000u);
+}
+
+TEST(sweep, seedless_benches_declare_no_seed_and_run_with_base_seed_zero) {
+  util::flag_set flags("test");
+  add_sweep_flags(flags, std::nullopt);
+  EXPECT_FALSE(flags.has("seed"));
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(flags.parse(1, argv));
+  EXPECT_EQ(sweep_options_from_flags(flags).base_seed, 0u);
+}
+
+TEST(sweep, malformed_sweep_flag_values_fail_the_parse) {
+  for (const char* bad : {"--seed=2.5", "--jobs=two", "--log-level=verbose"}) {
+    util::flag_set flags("test");
+    add_sweep_flags(flags, 7);
+    const char* argv[] = {"prog", bad};
+    EXPECT_FALSE(flags.parse(2, argv)) << bad;
+  }
+}
+
+TEST(sweep, write_outputs_writes_json_and_trace_only_when_named) {
+  const std::string json = ::testing::TempDir() + "sweep_test_out.json";
+  const std::string trace = ::testing::TempDir() + "sweep_test_out.trace";
+  std::remove(json.c_str());
+  std::remove(trace.c_str());
+  std::vector<sweep_row> rows(2);
+  rows[1].trace_blob = "blob";
+
+  util::flag_set quiet("test");
+  add_sweep_flags(quiet, 7);
+  const char* none[] = {"prog"};
+  ASSERT_TRUE(quiet.parse(1, none));
+  write_outputs(quiet, "unit", rows, sweep_options_from_flags(quiet));
+  EXPECT_FALSE(std::ifstream(json).good());
+  EXPECT_FALSE(std::ifstream(trace).good());
+
+  util::flag_set flags("test");
+  add_sweep_flags(flags, 7);
+  const std::string json_arg = "--json=" + json;
+  const std::string trace_arg = "--trace=" + trace;
+  const char* argv[] = {"prog", json_arg.c_str(), trace_arg.c_str()};
+  ASSERT_TRUE(flags.parse(3, argv));
+  write_outputs(flags, "unit", rows, sweep_options_from_flags(flags));
+  std::ifstream json_in(json);
+  const std::string doc((std::istreambuf_iterator<char>(json_in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_NE(doc.find("\"bench\": \"unit\""), std::string::npos);
+  std::ifstream trace_in(trace, std::ios::binary);
+  char magic[4] = {};
+  trace_in.read(magic, 4);
+  EXPECT_EQ(std::string(magic, 4), "MCCT");
+  std::remove(json.c_str());
+  std::remove(trace.c_str());
 }
 
 TEST(sweep, trace_and_profile_flags_switch_the_runner_on) {
   util::flag_set flags("test");
-  add_sweep_flags(flags);
+  add_sweep_flags(flags, 1);
   const char* argv[] = {"prog", "--trace=out.trace", "--profile=true"};
   ASSERT_TRUE(flags.parse(3, argv));
-  const sweep_options opts = sweep_options_from_flags(flags, 1);
+  const sweep_options opts = sweep_options_from_flags(flags);
   EXPECT_TRUE(opts.trace);
   ASSERT_NE(opts.profile, nullptr);
 
