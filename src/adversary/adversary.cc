@@ -137,22 +137,30 @@ void collusion_coordinator::deposit(std::int64_t subscribe_slot, int group,
                                     const crypto::group_key& key,
                                     std::uint64_t scope) {
   ++stats_.deposits;
-  keys_[{subscribe_slot, group, scope}] = key;
-  // Keys for long-gone slots can never validate again; prune so the pool
-  // stays bounded over arbitrarily long runs.
-  while (!keys_.empty() &&
-         std::get<0>(keys_.begin()->first) < subscribe_slot - retain_slots) {
-    keys_.erase(keys_.begin());
+  keys_.drop_below(subscribe_slot - core::key_history_slots);
+  if (subscribe_slot < keys_.floor()) return;
+  auto& pooled = keys_[subscribe_slot];
+  for (pooled_key& k : pooled) {
+    if (k.group == group && k.scope == scope) {
+      k.key = key;
+      return;
+    }
   }
+  pooled.push_back({group, scope, key});
 }
 
 const crypto::group_key* collusion_coordinator::lookup(
     std::int64_t subscribe_slot, int group, std::uint64_t scope) {
   ++stats_.lookups;
-  const auto it = keys_.find({subscribe_slot, group, scope});
-  if (it == keys_.end()) return nullptr;
-  ++stats_.hits;
-  return &it->second;
+  const auto* pooled = keys_.find(subscribe_slot);
+  if (pooled == nullptr) return nullptr;
+  for (const pooled_key& k : *pooled) {
+    if (k.group == group && k.scope == scope) {
+      ++stats_.hits;
+      return &k.key;
+    }
+  }
+  return nullptr;
 }
 
 // ---------------------------------------------------------------------------

@@ -76,17 +76,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/flid_ds.h"
 #include "crypto/key.h"
 #include "flid/flid_receiver.h"
+#include "sim/slot_window.h"
 #include "sim/time.h"
 
 namespace mcc::adversary {
@@ -182,8 +181,8 @@ struct profile {
 
 /// Shared key pool of one coalition: colluders deposit every key they
 /// reconstruct and look up keys for layers they cannot prove themselves.
-/// Single-world state (one simulated scheduler), so plain maps keep it
-/// deterministic.
+/// The pool keeps `core::key_history_slots` slots below the newest deposit:
+/// older keys can never validate again.
 ///
 /// Keys carry a `scope`: the interface identity they are valid at. Without
 /// interface keying every key is universal (scope 0, the default), so any
@@ -210,12 +209,13 @@ class collusion_coordinator {
   [[nodiscard]] const counters& stats() const { return stats_; }
 
  private:
-  /// Keys are useless a few slots after their target slot; deposits prune
-  /// anything older than this window so the pool stays O(window x groups).
-  static constexpr std::int64_t retain_slots = 8;
+  struct pooled_key {
+    int group;
+    std::uint64_t scope;
+    crypto::group_key key;
+  };
 
-  std::map<std::tuple<std::int64_t, int, std::uint64_t>, crypto::group_key>
-      keys_;
+  sim::slot_window<std::vector<pooled_key>> keys_;  // by subscribe slot
   counters stats_;
 };
 

@@ -52,9 +52,9 @@ void delta_layered_sender::begin_slot(std::int64_t slot,
     if (auth_mask & (1u << g)) keys.increase[g] = keys.top[g - 1];
   }
 
-  recent_[keys.target_slot] = keys;
-  while (recent_.size() > 8) recent_.erase(recent_.begin());
-  if (on_keys_) on_keys_(recent_[keys.target_slot], slot);
+  recent_.drop_below(keys.target_slot - key_history_slots);
+  delta_slot_keys& kept = recent_[keys.target_slot] = std::move(keys);
+  if (on_keys_) on_keys_(kept, slot);
 }
 
 void delta_layered_sender::fill_fields(std::int64_t slot, int group, int,
@@ -78,8 +78,7 @@ void delta_layered_sender::fill_fields(std::int64_t slot, int group, int,
 
 const delta_slot_keys* delta_layered_sender::keys_for(
     std::int64_t target_slot) const {
-  auto it = recent_.find(target_slot);
-  return it == recent_.end() ? nullptr : &it->second;
+  return recent_.find(target_slot);
 }
 
 // ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -29,12 +28,17 @@
 #include "crypto/prng.h"
 #include "flid/flid_receiver.h"
 #include "flid/flid_sender.h"
+#include "sim/slot_window.h"
 
 namespace mcc::core {
 
 /// How many future slots ahead keys distributed now become valid (Figure 2:
 /// keys from slot s guard slot s + 2).
 inline constexpr std::int64_t key_lead_slots = 2;
+
+/// Slots of key history kept below the newest slot known (router key store,
+/// sender key sets, collusion pool): older keys can never validate again.
+inline constexpr std::int64_t key_history_slots = 8;
 
 /// The key set guarding one future slot.
 struct delta_slot_keys {
@@ -86,7 +90,7 @@ class delta_layered_sender : public flid::delta_sender_hook {
   std::vector<crypto::group_key> acc_;
   // Decrease field value d_g for the current slot; index 2..N.
   std::vector<crypto::group_key> decrease_field_;
-  std::map<std::int64_t, delta_slot_keys> recent_;  // by target slot
+  sim::slot_window<delta_slot_keys> recent_;  // by target slot
 };
 
 /// Result of the receiver algorithm of Figure 4 for one slot.

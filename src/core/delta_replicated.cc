@@ -1,6 +1,6 @@
 #include "core/delta_replicated.h"
 
-#include "core/delta_layered.h"  // key_lead_slots
+#include "core/delta_layered.h"  // key_lead_slots, key_history_slots
 #include "util/require.h"
 
 namespace mcc::core {
@@ -47,8 +47,8 @@ void delta_replicated_sender::begin_slot(std::int64_t slot,
     if (auth_mask & (1u << g)) keys.increase[g] = keys.top[g - 1];
   }
 
-  recent_[keys.target_slot] = keys;
-  while (recent_.size() > 8) recent_.erase(recent_.begin());
+  recent_.drop_below(keys.target_slot - key_history_slots);
+  recent_[keys.target_slot] = std::move(keys);
 }
 
 void delta_replicated_sender::fill_fields(std::int64_t slot, int group, int,
@@ -69,8 +69,7 @@ void delta_replicated_sender::fill_fields(std::int64_t slot, int group, int,
 
 const replicated_slot_keys* delta_replicated_sender::keys_for(
     std::int64_t target_slot) const {
-  auto it = recent_.find(target_slot);
-  return it == recent_.end() ? nullptr : &it->second;
+  return recent_.find(target_slot);
 }
 
 replicated_reconstruction reconstruct_replicated(

@@ -10,7 +10,6 @@
 #define MCC_CORE_DELTA_REPLICATED_H
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "crypto/prng.h"
 #include "flid/flid_sender.h"
 #include "flid/replicated.h"
+#include "sim/slot_window.h"
 
 namespace mcc::core {
 
@@ -53,7 +53,7 @@ class delta_replicated_sender : public flid::delta_sender_hook {
   std::int64_t current_slot_ = -1;
   std::vector<crypto::group_key> acc_;             // C_g accumulators
   std::vector<crypto::group_key> decrease_field_;  // d_g per group
-  std::map<std::int64_t, replicated_slot_keys> recent_;
+  sim::slot_window<replicated_slot_keys> recent_;  // by target slot
 };
 
 /// Receiver algorithm of Figure 5 as a pure function of one slot's record.

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "core/delta_layered.h"  // key_lead_slots
+#include "core/delta_layered.h"  // key_lead_slots, key_history_slots
 #include "util/require.h"
 
 namespace mcc::core {
@@ -69,8 +69,8 @@ void delta_threshold_sender::begin_slot(
     keys[li] = key;
     shares_[li] = crypto::shamir_split_key(key, k, n, rng_);
   }
+  keys_.drop_below(slot + key_lead_slots - key_history_slots);
   keys_[slot + key_lead_slots] = std::move(keys);
-  while (keys_.size() > 8) keys_.erase(keys_.begin());
 }
 
 crypto::shamir_share delta_threshold_sender::share_for(int level,
@@ -86,10 +86,10 @@ crypto::shamir_share delta_threshold_sender::share_for(int level,
 
 std::optional<crypto::group_key> delta_threshold_sender::key_for(
     std::int64_t target_slot, int level) const {
-  auto it = keys_.find(target_slot);
-  if (it == keys_.end()) return std::nullopt;
+  const auto* keys = keys_.find(target_slot);
+  if (keys == nullptr) return std::nullopt;
   if (level < 1 || level > cfg_.num_levels) return std::nullopt;
-  return it->second[static_cast<std::size_t>(level)];
+  return (*keys)[static_cast<std::size_t>(level)];
 }
 
 std::optional<crypto::group_key> reconstruct_threshold_key(

@@ -14,7 +14,6 @@
 #define MCC_CORE_DELTA_THRESHOLD_H
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "crypto/key.h"
 #include "crypto/prng.h"
 #include "crypto/shamir.h"
+#include "sim/slot_window.h"
 
 namespace mcc::core {
 
@@ -72,7 +72,7 @@ class delta_threshold_sender {
   std::int64_t current_slot_ = -1;
   std::vector<std::vector<crypto::shamir_share>> shares_;  // per level
   std::vector<int> thresholds_k_;                          // per level
-  std::map<std::int64_t, std::vector<crypto::group_key>> keys_;  // by target
+  sim::slot_window<std::vector<crypto::group_key>> keys_;  // by target slot
 };
 
 /// Receiver side: reconstructs the level key from the collected shares.

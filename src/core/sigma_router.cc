@@ -1,7 +1,7 @@
 #include "core/sigma_router.h"
 
 #include <algorithm>
-#include <limits>
+#include <utility>
 
 #include "crypto/oneway.h"
 #include "util/logging.h"
@@ -9,12 +9,21 @@
 namespace mcc::core {
 
 namespace {
-/// Slots of key/shard history kept before garbage collection.
-constexpr std::int64_t history_slots = 8;
 /// Cap on the probation-memory cutoff escalation exponent: the k-th keyless
 /// rejoin is cut off for slot_duration << min(k, cap) — capped so a single
 /// interface cannot be locked out for more than 64 slots at a time.
 constexpr int max_block_escalation = 6;
+
+/// The tuple a decoded block holds for `group`; nullptr if none. The last
+/// match wins, as when the block's entries were inserted into a map.
+const key_tuple* tuple_for(
+    const std::vector<std::pair<sim::group_addr, key_tuple>>& keys,
+    sim::group_addr group) {
+  for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
+    if (it->first == group) return &it->second;
+  }
+  return nullptr;
+}
 }  // namespace
 
 sigma_router_agent::sigma_router_agent(sim::network& net, sim::node_id router,
@@ -73,7 +82,9 @@ void sigma_router_agent::on_ctrl(const sim::sigma_ctrl& hdr) {
   sess.slot_duration = hdr.slot_duration;
   sess.max_seen_slot = std::max(sess.max_seen_slot, hdr.emitted_slot);
 
-  shard_buffer& buf = sess.shards[hdr.target_slot];
+  // A shard for a slot already out of the key history can never be used.
+  if (hdr.target_slot < sess.slots.floor()) return;
+  shard_buffer& buf = sess.slots[hdr.target_slot].shards;
   if (buf.decoded) return;
   buf.data_shards = hdr.data_shards;
   buf.payload_size = hdr.payload_size;
@@ -86,7 +97,8 @@ void sigma_router_agent::on_ctrl(const sim::sigma_ctrl& hdr) {
 
 void sigma_router_agent::try_decode(int session_id, std::int64_t target_slot) {
   session_state& sess = sessions_[session_id];
-  shard_buffer& buf = sess.shards[target_slot];
+  slot_state& state = *sess.slots.find(target_slot);
+  shard_buffer& buf = state.shards;
   if (buf.decoded || buf.received.empty()) return;
 
   // The decoder only needs the generator rows for the received parity
@@ -100,51 +112,32 @@ void sigma_router_agent::try_decode(int session_id, std::int64_t target_slot) {
   if (!data.has_value()) return;
   const auto payload = crypto::join_shards(*data, buf.payload_size);
   auto block = deserialize_key_block(payload);
-  if (!block.has_value()) return;
+  // The emitter stamps the block's own slot on every shard; a block that
+  // disagrees with its shards is malformed.
+  if (!block.has_value() || block->target_slot != target_slot) return;
 
   buf.decoded = true;
   buf.received.clear();
   ++stats_.blocks_decoded;
-  auto& store = sess.keys_by_slot[block->target_slot];
-  for (const auto& [group, tuple] : block->entries) {
-    store[group.value] = tuple;
-  }
+  state.keys = std::move(block->entries);
 
-  // Garbage-collect old slots.
-  while (!sess.keys_by_slot.empty() &&
-         sess.keys_by_slot.begin()->first < target_slot - history_slots) {
-    sess.keys_by_slot.erase(sess.keys_by_slot.begin());
-  }
-  while (!sess.shards.empty() &&
-         sess.shards.begin()->first < target_slot - history_slots) {
-    sess.shards.erase(sess.shards.begin());
-  }
-  // Subscriptions parked for a slot this far back wait on a block whose
-  // shards were just dropped: it can never decode, so drop them too.
-  for (auto it = pending_.lower_bound(
-           {session_id, std::numeric_limits<std::int64_t>::min()});
-       it != pending_.end() && it->first.first == session_id &&
-       it->first.second < target_slot - history_slots;) {
-    it = pending_.erase(it);
-  }
+  // Older slots' keys, shards and parked subscriptions go together: a block
+  // whose shards are dropped can never decode, so its parked entries cannot
+  // either.
+  sess.slots.drop_below(target_slot - key_history_slots);
 
   // Re-validate subscriptions that raced ahead of their tuple block (with
   // the same per-interface comparison the direct path uses — a parked
   // honest key must not turn into a rejected "guess" under keying).
-  auto pending_it = pending_.find({session_id, block->target_slot});
-  if (pending_it != pending_.end()) {
-    auto work = std::move(pending_it->second);
-    pending_.erase(pending_it);
-    for (const auto& sub : work) {
-      const key_tuple* t =
-          tuple_for(session_id, block->target_slot, sub.group_value);
-      if (t != nullptr && tuple_matches(*t, sub.key, sub.iface)) {
-        ++stats_.valid_keys;
-        grant(session_id, sub.iface, sub.group_value, block->target_slot);
-      } else {
-        ++stats_.invalid_keys;
-        tally_guess(sub.iface, block->target_slot);
-      }
+  for (const auto& sub : std::exchange(state.parked, {})) {
+    const key_tuple* t =
+        tuple_for(state.keys, sim::group_addr{sub.group_value});
+    if (t != nullptr && tuple_matches(*t, sub.key, sub.iface)) {
+      ++stats_.valid_keys;
+      grant(session_id, sub.iface, sub.group_value, target_slot);
+    } else {
+      ++stats_.invalid_keys;
+      tally_guess(sub.iface, target_slot);
     }
   }
 }
@@ -168,17 +161,6 @@ bool sigma_router_agent::tuple_matches(const key_tuple& tuple,
   return perturbed.matches(submitted);
 }
 
-const key_tuple* sigma_router_agent::tuple_for(int session_id,
-                                               std::int64_t slot,
-                                               int group_value) const {
-  auto sess = sessions_.find(session_id);
-  if (sess == sessions_.end()) return nullptr;
-  auto by_slot = sess->second.keys_by_slot.find(slot);
-  if (by_slot == sess->second.keys_by_slot.end()) return nullptr;
-  auto t = by_slot->second.find(group_value);
-  return t == by_slot->second.end() ? nullptr : &t->second;
-}
-
 // ---------------------------------------------------------------------------
 // Management-plane: receiver messages (Figure 6)
 // ---------------------------------------------------------------------------
@@ -188,16 +170,26 @@ void sigma_router_agent::on_subscribe(const sim::sigma_subscribe& msg,
   ++stats_.subscribe_msgs;
   trace(obs::trace_event::subscribe, iface,
         static_cast<std::uint64_t>(msg.session_id), msg.pairs.size());
-  session_state& sess = sessions_[msg.session_id];
+  // A key for a slot whose block is not decoded yet (control packets still
+  // in flight) is parked and re-validated on decode — but only for a known
+  // session and a slot within the key history of the newest slot seen: any
+  // other key can never validate, and must not hold state.
+  const bool known = sessions_.contains(msg.session_id) ||
+                     net_.find_session(msg.session_id) != nullptr;
+  session_state* sess = known ? &sessions_[msg.session_id] : nullptr;
+  const bool parkable = known && msg.slot >= sess->max_seen_slot &&
+                        msg.slot >= sess->slots.floor() &&
+                        msg.slot <= sess->max_seen_slot + key_history_slots;
+  slot_state* state = known ? sess->slots.find(msg.slot) : nullptr;
   for (const auto& [group, key] : msg.pairs) {
     const crypto::group_key submitted = key;
-    const key_tuple* tuple = tuple_for(msg.session_id, msg.slot, group.value);
+    const key_tuple* tuple =
+        state != nullptr ? tuple_for(state->keys, group) : nullptr;
     if (tuple == nullptr) {
-      // Tuple block not decoded yet (or control packets still in flight):
-      // park the request; it is re-validated on decode.
-      if (msg.slot >= sess.max_seen_slot) {
+      if (parkable) {
         ++stats_.pending_subscriptions;
-        pending_[{msg.session_id, msg.slot}].push_back(
+        state = &sess->slots[msg.slot];
+        state->parked.push_back(
             pending_subscription{iface, group.value, submitted});
       } else {
         ++stats_.invalid_keys;
@@ -507,27 +499,27 @@ bool sigma_router_agent::allow(sim::packet& p, sim::link* oif) {
 }
 
 void sigma_router_agent::tally_guess(sim::link* iface, std::int64_t slot) {
+  // Decay: buckets older than the key history of the newest guessed slot
+  // fall off, so the tally reflects recent guessing pressure, not run length.
   auto& by_slot = guess_tally_[iface];
-  ++by_slot[slot];
-  // Decay: buckets older than the retained window fall off as newer slots
-  // arrive, so the tally reflects recent guessing pressure, not run length.
-  const std::int64_t newest = by_slot.rbegin()->first;
-  while (by_slot.begin()->first < newest - history_slots) {
-    by_slot.erase(by_slot.begin());
-  }
+  by_slot.drop_below(slot - key_history_slots);
+  if (slot >= by_slot.floor()) ++by_slot[slot];
 }
 
 std::uint64_t sigma_router_agent::guess_tally(sim::link* iface) const {
   auto it = guess_tally_.find(iface);
   if (it == guess_tally_.end()) return 0;
   std::uint64_t sum = 0;
-  for (const auto& [slot, count] : it->second) sum += count;
+  it->second.for_each([&](std::int64_t, std::uint64_t n) { sum += n; });
   return sum;
 }
 
 std::size_t sigma_router_agent::parked_subscriptions() const {
   std::size_t n = 0;
-  for (const auto& [key, subs] : pending_) n += subs.size();
+  for (const auto& [id, sess] : sessions_) {
+    sess.slots.for_each(
+        [&](std::int64_t, const slot_state& st) { n += st.parked.size(); });
+  }
   return n;
 }
 

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "core/sigma_wire.h"
@@ -30,6 +31,7 @@
 #include "mcast/igmp.h"
 #include "obs/trace.h"
 #include "sim/network.h"
+#include "sim/slot_window.h"
 
 namespace mcc::core {
 
@@ -86,15 +88,15 @@ class sigma_router_agent : public sim::agent, public sim::access_policy {
   };
   [[nodiscard]] const counters& stats() const { return stats_; }
 
-  /// Invalid keys submitted on an interface within the retained slot window
-  /// (the last `history_slots` slots) — the guessing-attack tally of paper
-  /// section 4.2. Windowed, unlike the cumulative `invalid_keys` counter, so
-  /// long churny runs do not accumulate stale penalty weight.
+  /// Invalid keys submitted on an interface within the key history of the
+  /// newest guessed slot — the guessing-attack tally of paper section 4.2.
+  /// Windowed, unlike the cumulative `invalid_keys` counter, so long churny
+  /// runs do not accumulate stale penalty weight.
   [[nodiscard]] std::uint64_t guess_tally(sim::link* iface) const;
 
   /// Subscriptions currently parked until their slot's key block decodes.
-  /// Bounded by the `history_slots` window: parked entries for a slot whose
-  /// block never decodes are dropped with that slot's shards.
+  /// Bounded by the key history: parked entries for a slot whose block never
+  /// decodes are dropped with that slot's shards.
   [[nodiscard]] std::size_t parked_subscriptions() const;
 
  private:
@@ -105,11 +107,24 @@ class sigma_router_agent : public sim::agent, public sim::access_policy {
     bool decoded = false;
   };
 
+  struct pending_subscription {
+    sim::link* iface;
+    int group_value;
+    crypto::group_key key;
+  };
+
+  /// What the router holds for one target slot of a session.
+  struct slot_state {
+    shard_buffer shards;
+    /// The decoded block's tuples (a handful, so a list beats a table).
+    std::vector<std::pair<sim::group_addr, key_tuple>> keys;
+    std::vector<pending_subscription> parked;  // waiting for the block
+  };
+
   struct session_state {
     sim::time_ns slot_duration = 0;
     std::int64_t max_seen_slot = -1;
-    std::map<std::int64_t, std::map<int, key_tuple>> keys_by_slot;
-    std::map<std::int64_t, shard_buffer> shards;
+    sim::slot_window<slot_state> slots;  // by target slot
   };
 
   struct iface_group_state {
@@ -139,12 +154,6 @@ class sigma_router_agent : public sim::agent, public sim::access_policy {
     sim::time_ns expires_at = 0;      // lazy-GC deadline
   };
 
-  struct pending_subscription {
-    sim::link* iface;
-    int group_value;
-    crypto::group_key key;
-  };
-
   void on_ctrl(const sim::sigma_ctrl& hdr);
   void on_subscribe(const sim::sigma_subscribe& msg, sim::link* iface,
                     sim::node_id from);
@@ -168,8 +177,6 @@ class sigma_router_agent : public sim::agent, public sim::access_policy {
   /// track ("sigma:<router>:<host>"); a dead branch when tracing is off.
   void trace(obs::trace_event kind, sim::link* iface, std::uint64_t a = 0,
              std::uint64_t b = 0);
-  [[nodiscard]] const key_tuple* tuple_for(int session_id, std::int64_t slot,
-                                           int group_value) const;
   /// The one key comparison both validation paths (direct and
   /// pending-revalidation) share: raw tuple match, or the per-interface
   /// perturbed image under keying.
@@ -187,12 +194,9 @@ class sigma_router_agent : public sim::agent, public sim::access_policy {
   std::map<sim::link*, std::map<int, iface_group_state>> ifaces_;
   // Wiped interface×group debts awaiting inheritance or expiry.
   std::map<sim::link*, std::map<int, probation_memory_record>> memory_;
-  // (session, slot) -> subscriptions waiting for their tuple block.
-  std::map<std::pair<int, std::int64_t>, std::vector<pending_subscription>>
-      pending_;
   // Guessing-attack tallies: invalid keys per interface, bucketed by slot so
   // stale buckets decay out of the window instead of accumulating forever.
-  std::map<sim::link*, std::map<std::int64_t, std::uint64_t>> guess_tally_;
+  std::map<sim::link*, sim::slot_window<std::uint64_t>> guess_tally_;
   counters stats_;
   /// Event-trace sink captured at construction; per-interface track ids are
   /// interned lazily (interfaces appear as hosts attach).

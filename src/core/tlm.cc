@@ -1,8 +1,9 @@
 #include "core/tlm.h"
 
 #include <algorithm>
+#include <map>
 
-#include "core/delta_layered.h"  // key_lead_slots
+#include "core/delta_layered.h"  // key_lead_slots, key_history_slots
 #include "crypto/oneway.h"
 
 namespace mcc::core {
@@ -68,8 +69,8 @@ void tlm_delta_sender::begin_slot(std::int64_t slot, std::uint32_t auth_mask,
     }
     block.entries.emplace_back(groups_[gi - 1], tuple);
   }
+  keys_.drop_below(block.target_slot - key_history_slots);
   keys_[block.target_slot] = std::move(keys);
-  while (keys_.size() > 8) keys_.erase(keys_.begin());
   if (emitter_ != nullptr) emitter_->emit_block(block, slot);
 }
 
@@ -92,10 +93,10 @@ void tlm_delta_sender::fill_fields(std::int64_t slot, int group,
 
 std::optional<crypto::group_key> tlm_delta_sender::key_for(
     std::int64_t target_slot, int level) const {
-  auto it = keys_.find(target_slot);
-  if (it == keys_.end()) return std::nullopt;
+  const auto* keys = keys_.find(target_slot);
+  if (keys == nullptr) return std::nullopt;
   if (level < 1 || level > cfg_.num_levels) return std::nullopt;
-  return it->second[static_cast<std::size_t>(level)];
+  return (*keys)[static_cast<std::size_t>(level)];
 }
 
 tlm_sender_bundle make_tlm_sender(sim::network& net, sim::node_id sender_host,

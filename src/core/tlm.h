@@ -25,7 +25,6 @@
 #define MCC_CORE_TLM_H
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -36,6 +35,7 @@
 #include "crypto/shamir.h"
 #include "flid/flid_receiver.h"
 #include "flid/flid_sender.h"
+#include "sim/slot_window.h"
 
 namespace mcc::core {
 
@@ -80,7 +80,7 @@ class tlm_delta_sender : public flid::delta_sender_hook {
   std::vector<std::int64_t> offset_;  // offset_[j] = packets of groups < j
   std::vector<std::optional<crypto::shamir_poly>> poly_;  // per level
   std::vector<int> k_;                                    // per level
-  std::map<std::int64_t, std::vector<crypto::group_key>> keys_;  // by target
+  sim::slot_window<std::vector<crypto::group_key>> keys_;  // by target slot
 };
 
 /// Honest TLM receiver strategy: per slot, determine the highest level whose

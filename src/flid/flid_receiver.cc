@@ -74,12 +74,14 @@ bool flid_receiver::handle_packet(const sim::packet& p, sim::link*) {
     evaluate_up_to(hdr->slot - 1);
   }
 
-  auto& recs = records_[hdr->slot];
-  if (recs.empty()) {
-    recs.assign(static_cast<std::size_t>(cfg_.num_groups) + 1,
-                group_slot_record{});
+  // A straggler from an already evaluated slot changes nothing.
+  if (hdr->slot < records_.floor()) return true;
+  slot_summary& slot = records_[hdr->slot];
+  if (slot.groups.empty()) {
+    slot.groups.assign(static_cast<std::size_t>(cfg_.num_groups) + 1,
+                       group_slot_record{});
   }
-  auto& rec = recs[static_cast<std::size_t>(g)];
+  auto& rec = slot.groups[static_cast<std::size_t>(g)];
   ++rec.received;
   rec.expected = hdr->packets_in_slot;
   if (hdr->component_scrubbed || p.ecn_marked) {
@@ -90,22 +92,18 @@ bool flid_receiver::handle_packet(const sim::packet& p, sim::link*) {
   if (g >= 2) rec.decrease = hdr->decrease;
   rec.shares.insert(rec.shares.end(), hdr->level_shares.begin(),
                     hdr->level_shares.end());
-  auth_masks_[hdr->slot] |= hdr->upgrade_auth_mask;
+  slot.auth_mask |= hdr->upgrade_auth_mask;
   return true;
 }
 
-slot_summary flid_receiver::summarize(std::int64_t slot) const {
-  slot_summary s;
+slot_summary flid_receiver::summarize(std::int64_t slot) {
+  slot_summary* received = records_.find(slot);
+  slot_summary s = received != nullptr ? std::move(*received) : slot_summary{};
   s.slot = slot;
-  auto it = records_.find(slot);
-  if (it != records_.end()) {
-    s.groups = it->second;
-  } else {
+  if (s.groups.empty()) {
     s.groups.assign(static_cast<std::size_t>(cfg_.num_groups) + 1,
                     group_slot_record{});
   }
-  auto am = auth_masks_.find(slot);
-  s.auth_mask = am != auth_masks_.end() ? am->second : 0;
 
   // Level during the slot: contiguous groups subscribed before slot start and
   // still subscribed now.
@@ -202,13 +200,7 @@ void flid_receiver::evaluate_slot(std::int64_t slot) {
     }
   }
 
-  // Garbage-collect old records.
-  while (!records_.empty() && records_.begin()->first <= slot) {
-    records_.erase(records_.begin());
-  }
-  while (!auth_masks_.empty() && auth_masks_.begin()->first <= slot) {
-    auth_masks_.erase(auth_masks_.begin());
-  }
+  records_.drop_below(slot + 1);
 }
 
 void flid_receiver::set_local_level(int new_level) {

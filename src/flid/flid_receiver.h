@@ -11,7 +11,6 @@
 #define MCC_FLID_FLID_RECEIVER_H
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "mcast/igmp.h"
 #include "obs/trace.h"
 #include "sim/network.h"
+#include "sim/slot_window.h"
 #include "sim/stats.h"
 
 namespace mcc::flid {
@@ -143,7 +143,8 @@ class flid_receiver : public sim::agent {
   void evaluate_slot(std::int64_t slot);
   void evaluate_up_to(std::int64_t slot);  // evaluates [eval_slot_, slot]
   void arm_fallback();
-  [[nodiscard]] slot_summary summarize(std::int64_t slot) const;
+  /// Completes `slot`'s summary, moving its records out of `records_`.
+  [[nodiscard]] slot_summary summarize(std::int64_t slot);
   /// Reports `summary` to the shared congestion manager and caps its
   /// auth_mask to the manager's level cap (no-op when detached).
   void apply_congestion_manager(slot_summary& summary);
@@ -174,9 +175,8 @@ class flid_receiver : public sim::agent {
   /// wall-clock fallback for blackouts.
   std::int64_t eval_slot_ = -1;
   sim::event_handle eval_fallback_;
-  // slot -> per-group records (1..N at indices 1..N).
-  std::map<std::int64_t, std::vector<group_slot_record>> records_;
-  std::map<std::int64_t, std::uint32_t> auth_masks_;
+  /// Per-group records and upgrade mask of the slots not yet evaluated.
+  sim::slot_window<slot_summary> records_;
   std::vector<std::pair<sim::time_ns, int>> level_history_;
   bool started_ = false;
   /// Liveness token captured by scheduled lambdas so a destroyed receiver's

@@ -144,7 +144,9 @@ bool replicated_receiver::handle_packet(const sim::packet& p, sim::link*) {
   const auto* hdr = sim::header_as<sim::flid_data>(p);
   if (hdr == nullptr || hdr->session_id != cfg_.session_id) return false;
   monitor_.on_bytes(p.size_bytes);
-  auto& rec = records_[hdr->slot];
+  // A straggler from an already evaluated slot changes nothing.
+  if (hdr->slot < records_.floor()) return true;
+  slot_record& rec = records_[hdr->slot];
   if (hdr->group_index == group_) {
     ++rec.received;
     rec.expected = hdr->packets_in_slot;
@@ -155,22 +157,14 @@ bool replicated_receiver::handle_packet(const sim::packet& p, sim::link*) {
   return true;
 }
 
-const replicated_receiver::slot_record* replicated_receiver::record_for(
-    std::int64_t slot) const {
-  auto it = records_.find(slot);
-  return it == records_.end() ? nullptr : &it->second;
-}
-
 void replicated_receiver::evaluate_slot(std::int64_t slot) {
   const sim::time_ns t = cfg_.slot_duration;
   const bool full_slot = join_time_ >= 0 && join_time_ <= slot * t;
   if (full_slot) {
-    auto it = records_.find(slot);
-    const bool complete = it != records_.end() &&
-                          it->second.expected >= 0 &&
-                          it->second.received >= it->second.expected;
-    const std::uint32_t mask =
-        it != records_.end() ? it->second.auth_mask : 0;
+    const slot_record* rec = records_.find(slot);
+    const bool complete = rec != nullptr && rec->expected >= 0 &&
+                          rec->received >= rec->expected;
+    const std::uint32_t mask = rec != nullptr ? rec->auth_mask : 0;
     if (!complete) {
       if (group_ > 1) {
         membership_.leave(cfg_.group(group_));
@@ -185,9 +179,7 @@ void replicated_receiver::evaluate_slot(std::int64_t slot) {
       join_time_ = net_.sched().now();
     }
   }
-  while (!records_.empty() && records_.begin()->first <= slot) {
-    records_.erase(records_.begin());
-  }
+  records_.drop_below(slot + 1);
   net_.sched().at((slot + 2) * t + t / 2,
                   [this, slot] { evaluate_slot(slot + 1); });
 }

@@ -9,7 +9,6 @@
 #define MCC_FLID_REPLICATED_H
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "mcast/igmp.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
+#include "sim/slot_window.h"
 #include "sim/stats.h"
 
 namespace mcc::flid {
@@ -75,8 +75,8 @@ class replicated_receiver : public sim::agent {
   [[nodiscard]] int current_group() const { return group_; }
   [[nodiscard]] sim::throughput_monitor& monitor() { return monitor_; }
 
-  /// Record of one evaluated slot for the current group (exposed so the
-  /// replicated DELTA receiver can reconstruct keys from it in tests).
+  /// Record of one slot for the current group (the input of the replicated
+  /// DELTA receiver's key reconstruction).
   struct slot_record {
     int received = 0;
     int expected = -1;
@@ -84,7 +84,6 @@ class replicated_receiver : public sim::agent {
     std::optional<crypto::group_key> decrease;
     std::uint32_t auth_mask = 0;
   };
-  [[nodiscard]] const slot_record* record_for(std::int64_t slot) const;
 
  private:
   void evaluate_slot(std::int64_t slot);
@@ -96,7 +95,7 @@ class replicated_receiver : public sim::agent {
   sim::throughput_monitor monitor_;
   int group_ = 0;  // current (only) subscribed group
   sim::time_ns join_time_ = -1;
-  std::map<std::int64_t, slot_record> records_;
+  sim::slot_window<slot_record> records_;  // slots not yet evaluated
 };
 
 }  // namespace mcc::flid

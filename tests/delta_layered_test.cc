@@ -140,6 +140,23 @@ TEST(delta_layered_sender, keys_differ_across_slots) {
   }
 }
 
+TEST(delta_layered_sender, keeps_the_key_history_below_the_newest_target) {
+  // After begin_slot(N) the newest target slot is N + 2; the sender keeps
+  // N + 2 - 8 and has dropped N + 2 - 9.
+  delta_harness h;
+  constexpr std::int64_t n = 20;
+  for (std::int64_t slot = 0; slot <= n; ++slot) {
+    h.sender.begin_slot(slot, 0, h.counts(3));
+  }
+  const std::int64_t newest = n + key_lead_slots;
+  EXPECT_NE(h.sender.keys_for(newest), nullptr);
+  ASSERT_NE(h.sender.keys_for(newest - key_history_slots), nullptr);
+  EXPECT_EQ(h.sender.keys_for(newest - key_history_slots)->target_slot,
+            newest - key_history_slots);
+  EXPECT_EQ(h.sender.keys_for(newest - key_history_slots - 1), nullptr);
+  EXPECT_EQ(h.sender.keys_for(newest + 1), nullptr);
+}
+
 TEST(delta_layered_receiver, uncongested_keeps_level_without_authorization) {
   delta_harness h;
   const auto s = h.run_slot(0, 4, 0, h.counts(4), h.no_loss());

@@ -121,6 +121,16 @@ TEST(delta_threshold, keys_rotate_per_slot) {
   EXPECT_NE(k0, k1);
 }
 
+TEST(delta_threshold, keeps_the_key_history_below_the_newest_target) {
+  auto cfg = threshold_config::uniform(1, 0.25);
+  delta_threshold_sender sender(cfg, 49);
+  std::vector<int> counts = {0, 10};
+  for (std::int64_t s = 0; s <= 20; ++s) sender.begin_slot(s, counts);
+  // Newest target 22: 22 - 8 is kept, 22 - 9 is gone.
+  EXPECT_TRUE(sender.key_for(14, 1).has_value());
+  EXPECT_FALSE(sender.key_for(13, 1).has_value());
+}
+
 TEST(delta_threshold, unknown_slot_or_level_returns_nothing) {
   auto cfg = threshold_config::uniform(2, 0.25);
   delta_threshold_sender sender(cfg, 48);

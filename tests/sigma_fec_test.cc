@@ -3,87 +3,12 @@
 // subscriptions must be re-validated once the block decodes.
 #include <gtest/gtest.h>
 
-#include "core/flid_ds.h"
-#include "core/sigma_emitter.h"
-#include "core/sigma_router.h"
-#include "exp/testbed.h"
+#include "sigma_harness.h"
 
 namespace mcc::core {
 namespace {
 
-/// Harness that feeds sigma_ctrl shards to a router agent directly.
-struct fec_harness {
-  fec_harness() : net(sched) {
-    router = net.add_router("edge");
-    host = net.add_host("h");
-    src = net.add_host("src");
-    net.connect(router, host, sim::link_config{});
-    net.connect(src, router, sim::link_config{});
-    net.finalize_routing();
-    igmp = std::make_unique<mcast::igmp_agent>(net, router);
-    sigma = std::make_unique<sigma_router_agent>(net, router, *igmp);
-
-    // Announce a protected session so joins/validations resolve.
-    sim::session_announcement ann;
-    ann.session_id = 5;
-    std::vector<sim::group_addr> session_groups;
-    for (int g = 1; g <= 4; ++g) {
-      session_groups.push_back(sim::group_addr{900 + g});
-      net.register_group_source(sim::group_addr{900 + g}, src);
-    }
-    ann.groups = std::move(session_groups);
-    ann.slot_duration = sim::milliseconds(250);
-    ann.sigma_protected = true;
-    net.announce_session(ann);
-  }
-
-  /// Builds the ctrl shards for one slot's keys.
-  std::vector<sim::packet> make_shards(delta_layered_sender& delta,
-                                       std::int64_t slot, int k, int m) {
-    // Capture packets instead of sending them: emit into a collector host.
-    std::vector<sim::group_addr> groups;
-    for (int g = 1; g <= 4; ++g) groups.push_back(sim::group_addr{900 + g});
-    std::vector<int> counts = {0, 3, 3, 3, 3};
-    delta.begin_slot(slot, 0, counts);
-    const delta_slot_keys* keys = delta.keys_for(slot + key_lead_slots);
-
-    const sigma_key_block block =
-        block_from_keys(*keys, groups, sim::milliseconds(250), 16);
-    const auto payload = serialize(block);
-    const auto data = crypto::split_into_shards(payload, k);
-    crypto::rs_code code(k, m);
-    const auto codeword = code.encode(data);
-
-    std::vector<sim::packet> out;
-    for (int i = 0; i < k + m; ++i) {
-      sim::sigma_ctrl hdr;
-      hdr.session_id = 5;
-      hdr.emitted_slot = slot;
-      hdr.target_slot = slot + key_lead_slots;
-      hdr.slot_duration = sim::milliseconds(250);
-      hdr.shard_index = i;
-      hdr.data_shards = k;
-      hdr.total_shards = k + m;
-      hdr.payload_size = payload.size();
-      hdr.shard_bytes = codeword[static_cast<std::size_t>(i)];
-      sim::packet p;
-      p.size_bytes = 40 + static_cast<int>(hdr.shard_bytes.size());
-      p.dst = sim::dest::to_group(groups.front());
-      p.router_alert = true;
-      p.hdr = std::move(hdr);
-      out.push_back(std::move(p));
-    }
-    return out;
-  }
-
-  void feed(const sim::packet& p) { sigma->handle_packet(p, nullptr); }
-
-  sim::scheduler sched;
-  sim::network net;
-  sim::node_id router, host, src;
-  std::unique_ptr<mcast::igmp_agent> igmp;
-  std::unique_ptr<sigma_router_agent> sigma;
-};
+using fec_harness = mcc::testing::sigma_harness;
 
 TEST(sigma_fec, decodes_from_data_shards_only) {
   fec_harness h;
@@ -142,25 +67,14 @@ TEST(sigma_fec, parked_subscription_validates_after_late_decode) {
   const delta_slot_keys* keys = delta.keys_for(key_lead_slots);
 
   // Subscription arrives before any ctrl shard.
-  sim::link* iface = h.net.next_hop(h.router, h.host);
-  sim::sigma_subscribe sub;
-  sub.session_id = 5;
-  sub.slot = key_lead_slots;
-  sub.pairs = {{sim::group_addr{901}, keys->top[1]}};
-  sub.msg_id = 77;
-  sim::packet p;
-  p.size_bytes = 40;
-  p.src = h.host;
-  p.dst = sim::dest::to_node(h.router);
-  p.hdr = sub;
-  h.sigma->handle_packet(p, iface->reverse());
+  h.subscribe(5, key_lead_slots, {{sim::group_addr{901}, keys->top[1]}});
   EXPECT_EQ(h.sigma->stats().pending_subscriptions, 1u);
   EXPECT_EQ(h.sigma->stats().valid_keys, 0u);
 
   // Ctrl shards arrive; the parked subscription must be granted.
   for (int i = 0; i < 4; ++i) h.feed(shards[static_cast<std::size_t>(i)]);
   EXPECT_EQ(h.sigma->stats().valid_keys, 1u);
-  EXPECT_TRUE(h.net.get(h.router)->has_oif(sim::group_addr{901}, iface));
+  EXPECT_TRUE(h.net.get(h.router)->has_oif(sim::group_addr{901}, h.iface));
 }
 
 TEST(sigma_fec, parked_subscription_with_bad_key_is_rejected_after_decode) {
@@ -168,21 +82,11 @@ TEST(sigma_fec, parked_subscription_with_bad_key_is_rejected_after_decode) {
   delta_layered_sender delta(5, 4, 16, 7);
   auto shards = h.make_shards(delta, 0, 4, 4);
 
-  sim::link* iface = h.net.next_hop(h.router, h.host);
-  sim::sigma_subscribe sub;
-  sub.session_id = 5;
-  sub.slot = key_lead_slots;
-  sub.pairs = {{sim::group_addr{901}, crypto::group_key{0xBAD}}};
-  sub.msg_id = 78;
-  sim::packet p;
-  p.size_bytes = 40;
-  p.src = h.host;
-  p.dst = sim::dest::to_node(h.router);
-  p.hdr = sub;
-  h.sigma->handle_packet(p, iface->reverse());
+  h.subscribe(5, key_lead_slots,
+              {{sim::group_addr{901}, crypto::group_key{0xBAD}}});
   for (int i = 0; i < 4; ++i) h.feed(shards[static_cast<std::size_t>(i)]);
   EXPECT_EQ(h.sigma->stats().invalid_keys, 1u);
-  EXPECT_FALSE(h.net.get(h.router)->has_oif(sim::group_addr{901}, iface));
+  EXPECT_FALSE(h.net.get(h.router)->has_oif(sim::group_addr{901}, h.iface));
 }
 
 }  // namespace

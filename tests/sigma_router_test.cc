@@ -7,6 +7,7 @@
 #include "adversary/adversary.h"
 #include "core/flid_ds.h"
 #include "exp/testbed.h"
+#include "sigma_harness.h"
 
 namespace mcc::core {
 namespace {
@@ -378,6 +379,99 @@ TEST(sigma_router_memory, debt_expires_after_the_memory_window) {
   EXPECT_GT(d.net().get(freeloader)->stats().delivered_local,
             delivered_at_rejoin);
   (void)session;
+}
+
+// --- Per-slot state: what the router keeps, and what it refuses to keep ----
+
+using mcc::testing::sigma_harness;
+
+/// Three key pairs no router will ever hold a tuple for.
+std::vector<std::pair<sim::group_addr, crypto::group_key>> junk_pairs() {
+  return {{sigma_harness::group(1), crypto::group_key{0xBAD1}},
+          {sigma_harness::group(2), crypto::group_key{0xBAD2}},
+          {sigma_harness::group(3), crypto::group_key{0xBAD3}}};
+}
+
+TEST(sigma_router_slots, subscription_for_unannounced_session_is_refused) {
+  // No key block for this session can ever arrive, so parking its keys would
+  // hold them for the whole run.
+  sigma_harness h;
+  h.subscribe(99, 2, junk_pairs());
+  EXPECT_EQ(h.sigma->parked_subscriptions(), 0u);
+  EXPECT_EQ(h.sigma->stats().invalid_keys, 3u);
+  EXPECT_EQ(h.sigma->stats().pending_subscriptions, 0u);
+  // The subscription is still acknowledged.
+  h.sched.run();
+  EXPECT_EQ(h.net.get(h.host)->stats().delivered_local, 1u);
+}
+
+TEST(sigma_router_slots, subscription_far_ahead_of_the_session_is_refused) {
+  sigma_harness h;
+  delta_layered_sender delta(sigma_harness::session_id, 4, 16, 11);
+  // One shard of slot 10's block: not decodable, but the newest slot the
+  // router has seen is now 10.
+  h.feed(h.make_shards(delta, 10, 4, 4).front());
+  h.subscribe(sigma_harness::session_id, 10 + 1'000'000, junk_pairs());
+  EXPECT_EQ(h.sigma->parked_subscriptions(), 0u);
+  EXPECT_EQ(h.sigma->stats().invalid_keys, 3u);
+  // One slot past the key history is refused; the last slot within it still
+  // parks (its block may yet arrive).
+  h.subscribe(sigma_harness::session_id, 10 + key_history_slots + 1,
+              junk_pairs());
+  EXPECT_EQ(h.sigma->parked_subscriptions(), 0u);
+  EXPECT_EQ(h.sigma->stats().invalid_keys, 6u);
+  h.subscribe(sigma_harness::session_id, 10 + key_history_slots, junk_pairs());
+  EXPECT_EQ(h.sigma->parked_subscriptions(), 3u);
+  EXPECT_EQ(h.sigma->stats().invalid_keys, 6u);
+  h.sched.run();
+  EXPECT_EQ(h.net.get(h.host)->stats().delivered_local, 3u);
+}
+
+TEST(sigma_router_slots, key_tuples_are_kept_for_the_key_history) {
+  // After the block for target slot T decodes, the tuples of T - 8 still
+  // validate and those of T - 9 are gone.
+  sigma_harness h;
+  delta_layered_sender delta(sigma_harness::session_id, 4, 16, 12);
+  std::vector<crypto::group_key> top1;  // group 1's key, by target slot
+  for (std::int64_t slot = 0; slot <= 20; ++slot) {
+    h.decode_slot(delta, slot);
+    top1.push_back(delta.keys_for(slot + key_lead_slots)->top[1]);
+  }
+  const std::int64_t newest = 20 + key_lead_slots;
+  const auto key_of = [&](std::int64_t target) {
+    return top1[static_cast<std::size_t>(target - key_lead_slots)];
+  };
+  const std::int64_t oldest = newest - key_history_slots;
+  h.subscribe(sigma_harness::session_id, oldest,
+              {{sigma_harness::group(1), key_of(oldest)}});
+  EXPECT_EQ(h.sigma->stats().valid_keys, 1u);
+  h.subscribe(sigma_harness::session_id, oldest - 1,
+              {{sigma_harness::group(1), key_of(oldest - 1)}});
+  EXPECT_EQ(h.sigma->stats().valid_keys, 1u);
+  EXPECT_EQ(h.sigma->stats().invalid_keys, 1u);
+  EXPECT_EQ(h.sigma->parked_subscriptions(), 0u);
+}
+
+TEST(sigma_router_slots, guess_tally_keeps_the_history_of_the_newest_guess) {
+  sigma_harness h;
+  delta_layered_sender delta(sigma_harness::session_id, 4, 16, 13);
+  for (std::int64_t slot = 0; slot <= 10; ++slot) h.decode_slot(delta, slot);
+  const auto guess = [&](std::int64_t slot) {
+    h.subscribe(sigma_harness::session_id, slot,
+                {{sigma_harness::group(1), crypto::group_key{0xBAD}}});
+  };
+  // Tuples are held for target slots 4..12; guess at both ends.
+  guess(4);
+  guess(12);
+  EXPECT_EQ(h.sigma->guess_tally(h.iface), 2u);
+  // A guess at 13 keeps 5..13: slot 4's bucket (13 - 9) falls off, slot 5's
+  // (13 - 8) would stay.
+  h.decode_slot(delta, 11);
+  guess(13);
+  EXPECT_EQ(h.sigma->guess_tally(h.iface), 2u);
+  guess(5);
+  EXPECT_EQ(h.sigma->guess_tally(h.iface), 3u);
+  EXPECT_EQ(h.sigma->stats().invalid_keys, 4u);
 }
 
 TEST(sigma_router, unsubscribes_accompany_downgrades_under_congestion) {
