@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <set>
 
-#include "core/delta_replicated.h"
+#include "core/delta_layered.h"
 #include "exp/testbed.h"
 #include "flid/replicated.h"
 #include "mcast/igmp.h"
@@ -25,6 +25,7 @@ int main() {
 
   flid::flid_config fc;
   fc.session_id = 601;
+  fc.structure = flid::session_structure::replicated;
   fc.group_addr_base = 60'000;
   fc.num_groups = 6;
   fc.base_rate_bps = 100e3;
@@ -32,7 +33,7 @@ int main() {
   fc.slot_duration = sim::milliseconds(500);
 
   const sim::node_id src = net.attach_host("rep_src", "l");
-  flid::replicated_sender sender(net.net(), src, fc, cfg.seed);
+  flid::flid_sender sender(net.net(), src, fc, cfg.seed);
   sender.start(0);
 
   const sim::node_id dst = net.attach_host("rep_rcv", "r");
@@ -53,7 +54,8 @@ int main() {
 
   // --- part 2: the Figure-5 key algebra, step by step -----------------------
   std::printf("Figure-5 DELTA walkthrough (replicated, 4 groups, slot 0):\n");
-  core::delta_replicated_sender delta(601, 4, 16, 7);
+  core::delta_layered_sender delta(601, 4, 16, 7,
+                                  flid::session_structure::replicated);
   std::vector<int> counts = {0, 5, 5, 5, 5};
   delta.begin_slot(0, /*upgrade to group 3 authorized=*/1u << 3, counts);
 

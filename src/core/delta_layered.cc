@@ -5,10 +5,12 @@
 namespace mcc::core {
 
 delta_layered_sender::delta_layered_sender(int session_id, int num_groups,
-                                           int key_bits, std::uint64_t seed)
+                                           int key_bits, std::uint64_t seed,
+                                           flid::session_structure structure)
     : session_id_(session_id),
       num_groups_(num_groups),
       key_bits_(key_bits),
+      chained_(structure == flid::session_structure::cumulative),
       rng_(seed) {
   util::require(num_groups_ >= 1, "delta_layered_sender: need >= 1 group");
   util::require(key_bits_ == 16 || key_bits_ == 32 || key_bits_ == 64,
@@ -36,10 +38,13 @@ void delta_layered_sender::begin_slot(std::int64_t slot,
   keys.decrease.assign(n + 1, crypto::zero_key);
   keys.increase.assign(n + 1, std::nullopt);
 
-  // C_g <- nonce; tau_1 = C_1; tau_g = tau_{g-1} XOR C_g.
+  // C_g <- nonce; tau_1 = C_1; tau_g = tau_{g-1} XOR C_g (Figure 4), or
+  // tau_g = C_g in a replicated session (Figure 5).
   for (std::size_t g = 1; g <= n; ++g) acc_[g] = nonce();
   keys.top[1] = acc_[1];
-  for (std::size_t g = 2; g <= n; ++g) keys.top[g] = keys.top[g - 1] ^ acc_[g];
+  for (std::size_t g = 2; g <= n; ++g) {
+    keys.top[g] = chained_ ? keys.top[g - 1] ^ acc_[g] : acc_[g];
+  }
 
   // delta_{g-1} <- nonce; d_g <- delta_{g-1}   (carried by group g packets).
   for (std::size_t g = 2; g <= n; ++g) {
@@ -163,6 +168,38 @@ delta_reconstruction delta_layered_receiver::reconstruct(
   for (int j = 1; j <= n; ++j) {
     out.keys.emplace_back(j, *u[static_cast<std::size_t>(j)]);
   }
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Replicated receiver (Figure 5)
+// ---------------------------------------------------------------------------
+
+replicated_reconstruction reconstruct_replicated(
+    const flid::replicated_receiver::slot_record& rec, int current_group,
+    int num_groups) {
+  replicated_reconstruction out;
+  const bool congested = rec.expected < 0 || rec.received < rec.expected;
+  if (congested) {
+    // Figure 5: u_{g-1} <- decrease field from R_g; n <- g - 1 (null at g=1).
+    if (current_group <= 1 || !rec.decrease.has_value()) {
+      out.next_group = 0;
+      return out;
+    }
+    out.next_group = current_group - 1;
+    out.key = rec.decrease;
+    return out;
+  }
+  // Uncongested: u_g = XOR of component fields of the current group.
+  const crypto::group_key tau = rec.xor_components;
+  if (current_group < num_groups &&
+      (rec.auth_mask & (1u << (current_group + 1)))) {
+    // u_{g+1} <- u_g: iota_{g+1} equals tau_g.
+    out.next_group = current_group + 1;
+  } else {
+    out.next_group = current_group;
+  }
+  out.key = tau;
   return out;
 }
 

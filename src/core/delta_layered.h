@@ -13,6 +13,14 @@
 // from decrease fields, and (3) an authorized uncongested receiver of g
 // groups obtains the key for group g+1 from its own components.
 //
+// Replicated sessions (section 3.1.2 "Session structure", Figure 5) use the
+// same algebra with per-group rather than cumulative keys: each subscription
+// level is a single group carrying the whole content at its own rate, so
+//   top key       tau_g   = XOR of the component fields of group g only
+// while decrease and increase keys are defined as above (iota_g = tau_{g-1}
+// is then the XOR of group g-1's components). One sender serves both; the
+// session structure only decides whether top keys chain.
+//
 // Keys harvested from slot-s packets control access during slot s+2
 // (Figure 2); the sender precomputes keys at slot start and generates
 // component fields in real time, so transmission patterns are unchanged.
@@ -28,6 +36,7 @@
 #include "crypto/prng.h"
 #include "flid/flid_receiver.h"
 #include "flid/flid_sender.h"
+#include "flid/replicated.h"
 #include "sim/slot_window.h"
 
 namespace mcc::core {
@@ -44,7 +53,7 @@ inline constexpr std::int64_t key_history_slots = 8;
 struct delta_slot_keys {
   int session_id = 0;
   std::int64_t target_slot = 0;
-  std::vector<crypto::group_key> top;       // index 1..N
+  std::vector<crypto::group_key> top;       // index 1..N, tau_g
   std::vector<crypto::group_key> decrease;  // index 1..N-1 meaningful
   std::vector<std::optional<crypto::group_key>> increase;  // index 2..N
   [[nodiscard]] int num_groups() const {
@@ -52,12 +61,15 @@ struct delta_slot_keys {
   }
 };
 
-/// Sender side: plugs into flid_sender (or replicated_sender) as the
-/// delta_sender_hook and emits per-slot key sets to SIGMA via a callback.
+/// Sender side: plugs into flid_sender as the delta_sender_hook and emits
+/// per-slot key sets to SIGMA via a callback. `structure` selects Figure 4
+/// (cumulative, chained top keys) or Figure 5 (replicated, per-group top
+/// keys); every nonce is drawn in the same order either way.
 class delta_layered_sender : public flid::delta_sender_hook {
  public:
-  delta_layered_sender(int session_id, int num_groups, int key_bits,
-                       std::uint64_t seed);
+  delta_layered_sender(
+      int session_id, int num_groups, int key_bits, std::uint64_t seed,
+      flid::session_structure structure = flid::session_structure::cumulative);
 
   using keys_callback =
       std::function<void(const delta_slot_keys&, std::int64_t current_slot)>;
@@ -81,6 +93,7 @@ class delta_layered_sender : public flid::delta_sender_hook {
   int session_id_;
   int num_groups_;
   int key_bits_;
+  bool chained_;  // cumulative session: tau_g = tau_{g-1} XOR C_g
   crypto::prng rng_;
   keys_callback on_keys_;
 
@@ -117,6 +130,17 @@ class delta_layered_receiver {
  private:
   int num_groups_;
 };
+
+/// Receiver algorithm of Figure 5 (replicated sessions) for one slot.
+struct replicated_reconstruction {
+  int next_group = 0;  // 0 = no keys (receiver must re-enter the session)
+  std::optional<crypto::group_key> key;  // key for next_group
+};
+
+/// A pure function of one slot's record of the receiver's current group.
+[[nodiscard]] replicated_reconstruction reconstruct_replicated(
+    const flid::replicated_receiver::slot_record& rec, int current_group,
+    int num_groups);
 
 }  // namespace mcc::core
 

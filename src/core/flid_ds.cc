@@ -13,7 +13,7 @@ flid_ds_sender make_flid_ds_sender(sim::network& net, sim::node_id sender_host,
   const flid::flid_config& cfg = sender.config();
   flid_ds_sender out;
   out.delta = std::make_unique<delta_layered_sender>(
-      cfg.session_id, cfg.num_groups, cfg.key_bits, seed);
+      cfg.session_id, cfg.num_groups, cfg.key_bits, seed, cfg.structure);
   std::vector<sim::group_addr> groups;
   for (int g = 1; g <= cfg.num_groups; ++g) groups.push_back(cfg.group(g));
   out.emitter = std::make_unique<sigma_ctrl_emitter>(
@@ -161,33 +161,35 @@ slot_feedback honest_sigma_strategy::observe_slot(flid::flid_receiver& r,
   return fb;
 }
 
+bool honest_sigma_strategy::empty_slot(const flid::flid_receiver& r,
+                                       const flid::slot_summary& s) {
+  const flid::flid_config& cfg = r.config();
+  for (int g = 1; g <= cfg.num_groups; ++g) {
+    if (s.groups[static_cast<std::size_t>(g)].received > 0) {
+      empty_slots_ = 0;
+      return false;
+    }
+  }
+  // Nothing received over a full slot: either we just joined (grace period
+  // in progress) or the router cut us off. Re-enter via session-join after
+  // a cool-down of two slots without data.
+  ++stats_.cutoff_slots;
+  ++empty_slots_;
+  if (empty_slots_ >= 2 &&
+      net_->sched().now() - last_session_join_ > 2 * cfg.slot_duration) {
+    ++stats_.cutoffs;
+    send_session_join();
+    empty_slots_ = 0;
+  }
+  return true;
+}
+
 int honest_sigma_strategy::honest_action(flid::flid_receiver& r,
                                          const flid::slot_summary& s) {
   const flid::flid_config& cfg = r.config();
   const sim::time_ns t = cfg.slot_duration;
 
-  // Nothing received over a full slot: either we just joined (grace period
-  // in progress) or the router cut us off. Re-enter via session-join after
-  // a cool-down of two slots without data.
-  bool any_packets = false;
-  for (int g = 1; g <= cfg.num_groups; ++g) {
-    if (s.groups[static_cast<std::size_t>(g)].received > 0) {
-      any_packets = true;
-      break;
-    }
-  }
-  if (!any_packets) {
-    ++stats_.cutoff_slots;
-    ++empty_slots_;
-    if (empty_slots_ >= 2 &&
-        net_->sched().now() - last_session_join_ > 2 * t) {
-      ++stats_.cutoffs;
-      send_session_join();
-      empty_slots_ = 0;
-    }
-    return r.level();
-  }
-  empty_slots_ = 0;
+  if (empty_slot(r, s)) return r.level();
   if (s.level == 0) return r.level();  // partial first slot after a join
 
   // Groups that were subscribed for the whole slot but delivered nothing are

@@ -121,6 +121,10 @@ class honest_sigma_strategy : public flid::subscription_strategy,
   void send_session_join();
   /// The honest per-slot action; returns the new level.
   int honest_action(flid::flid_receiver& r, const flid::slot_summary& s);
+  /// The empty-slot step every honest action starts with: when nothing at
+  /// all arrived over the slot, counts a cut-off slot and re-enters through
+  /// session-join after two such slots. Returns whether the slot was empty.
+  bool empty_slot(const flid::flid_receiver& r, const flid::slot_summary& s);
   [[nodiscard]] crypto::group_key maybe_perturb(crypto::group_key k) const;
 
   sim::network* net_ = nullptr;

@@ -51,6 +51,16 @@ void sigma_router_agent::trace(obs::trace_event kind, sim::link* iface,
 bool sigma_router_agent::handle_packet(const sim::packet& p,
                                        sim::link* arrival) {
   if (const auto* ctrl = sim::header_as<sim::sigma_ctrl>(p)) {
+    // Key blocks flow down the session's tree from its source: a shard is
+    // accepted only on the reverse-path link toward that source, so a
+    // receiver host cannot forge blocks or push the session's slots ahead.
+    const sim::node_id src = net_.group_source(p.dst.group());
+    sim::link* up =
+        src == sim::invalid_node ? nullptr : net_.next_hop(router_, src);
+    if (arrival == nullptr || up == nullptr || arrival != up->reverse()) {
+      ++stats_.ctrl_refused;
+      return true;
+    }
     on_ctrl(*ctrl);
     return true;
   }

@@ -67,6 +67,7 @@ class sigma_router_agent : public sim::agent, public sim::access_policy {
 
   struct counters {
     std::uint64_t ctrl_shards = 0;
+    std::uint64_t ctrl_refused = 0;  // shards off the reverse path, dropped
     std::uint64_t blocks_decoded = 0;
     std::uint64_t subscribe_msgs = 0;
     std::uint64_t valid_keys = 0;

@@ -1,12 +1,52 @@
 #include "core/tlm.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "core/delta_layered.h"  // key_lead_slots, key_history_slots
 #include "crypto/oneway.h"
 
 namespace mcc::core {
+
+threshold_config threshold_config::uniform(int levels, double threshold,
+                                           int key_bits) {
+  threshold_config cfg;
+  cfg.num_levels = levels;
+  cfg.key_bits = key_bits;
+  cfg.loss_threshold.assign(static_cast<std::size_t>(levels) + 1, threshold);
+  return cfg;
+}
+
+threshold_config threshold_config::decaying(int levels, double base,
+                                            double decay, int key_bits) {
+  threshold_config cfg;
+  cfg.num_levels = levels;
+  cfg.key_bits = key_bits;
+  cfg.loss_threshold.assign(static_cast<std::size_t>(levels) + 1, 0.0);
+  for (int g = 1; g <= levels; ++g) {
+    cfg.loss_threshold[static_cast<std::size_t>(g)] =
+        base * std::pow(decay, g - 1);
+  }
+  return cfg;
+}
+
+int shares_required(double loss_threshold, int packets_in_slot) {
+  util::require(packets_in_slot >= 1, "shares_required: empty slot");
+  util::require(loss_threshold >= 0.0 && loss_threshold < 1.0,
+                "shares_required: threshold must be in [0, 1)");
+  const int k = static_cast<int>(
+      std::ceil((1.0 - loss_threshold) * packets_in_slot));
+  return std::min(std::max(k, 1), packets_in_slot);
+}
+
+std::optional<crypto::group_key> reconstruct_threshold_key(
+    std::span<const crypto::shamir_share> collected, int k) {
+  if (static_cast<int>(collected.size()) < k) return std::nullopt;
+  // Any k shares determine the polynomial; use the first k.
+  return crypto::shamir_reconstruct_key(
+      collected.subspan(0, static_cast<std::size_t>(k)));
+}
 
 tlm_delta_sender::tlm_delta_sender(int session_id, const threshold_config& cfg,
                                    std::vector<sim::group_addr> groups,
@@ -132,24 +172,8 @@ int tlm_sigma_strategy::on_slot(flid::flid_receiver& r,
   const flid::flid_config& cfg = r.config();
   const sim::time_ns t = cfg.slot_duration;
 
-  bool any_packets = false;
-  for (int g = 1; g <= cfg.num_groups; ++g) {
-    if (s.groups[static_cast<std::size_t>(g)].received > 0) {
-      any_packets = true;
-      break;
-    }
-  }
-  if (!any_packets) {
-    ++empty_slots_;
-    if (empty_slots_ >= 2 &&
-        net_->sched().now() - last_session_join_ > 2 * t) {
-      ++stats_.cutoffs;
-      send_session_join();
-      empty_slots_ = 0;
-    }
-    return r.level();
-  }
-  empty_slots_ = 0;
+  observe_slot(r, s);
+  if (empty_slot(r, s)) return r.level();
   if (s.level == 0) return r.level();
 
   // Collect shares per level across groups 1..level (and any probed group).

@@ -2,18 +2,20 @@
 // by the threshold DELTA instantiation (paper section 3.1.2, "Congested
 // state"), running over the same SIGMA infrastructure as FLID-DS.
 //
-// A receiver of subscription level g is congested only when its loss rate
-// over the slot exceeds the level's threshold (RLM default 0.25; WEBRC-style
-// configs lower the threshold per level). DELTA enforces the rule
-// cryptographically: the key for level g is Shamir-shared across all n_g
-// packets transmitted to the level (groups 1..g) with reconstruction
-// threshold k_g = ceil((1 - threshold_g) * n_g); a receiver above the
-// tolerated loss rate simply lacks the shares.
+// RLM, MLDA and WEBRC consider a receiver of subscription level g congested
+// only when its loss rate over the slot exceeds the level's threshold (RLM
+// default 0.25; MLDA/WEBRC-style configs lower the threshold per level).
+// DELTA enforces the rule cryptographically: the key for level g is
+// Shamir-shared across all n_g packets transmitted to the level (groups
+// 1..g) with reconstruction threshold k_g = ceil((1 - threshold_g) * n_g); a
+// receiver above the tolerated loss rate simply lacks the shares, and any
+// k_g of them give the exact key.
 //
-// As the paper notes, Shamir's scheme cannot reuse lower-level components in
-// cumulative sessions, so a packet of group j carries one share for EVERY
-// level j..N — a real per-packet cost (see ablation_threshold_overhead)
-// that the paper flags as an open problem.
+// As the paper notes, Shamir's scheme does not allow reusing lower-level
+// components in cumulative sessions, so the key of level g covers the whole
+// level and a packet of group j carries one share for EVERY level j..N — a
+// real per-packet cost (see ablation_threshold_overhead). Designing
+// reuse-friendly threshold schemes is the paper's open problem.
 //
 // Upgrades (rule 3 of section 3.1) use an increase key derived one-way from
 // the level below: iota_{g+1} = H(kappa_g), computable by any receiver that
@@ -26,9 +28,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
-#include "core/delta_threshold.h"
 #include "core/flid_ds.h"
 #include "core/sigma_emitter.h"
 #include "crypto/prng.h"
@@ -38,6 +40,31 @@
 #include "sim/slot_window.h"
 
 namespace mcc::core {
+
+struct threshold_config {
+  int num_levels = 10;
+  /// Loss-rate threshold per level, index 1..num_levels. RLM's default is
+  /// 0.25 for every level; MLDA/WEBRC lower it for higher levels.
+  std::vector<double> loss_threshold;
+  int key_bits = 16;
+
+  /// RLM-style uniform thresholds.
+  static threshold_config uniform(int levels, double threshold,
+                                  int key_bits = 16);
+  /// WEBRC-style decaying thresholds: threshold_g = base * decay^(g-1).
+  static threshold_config decaying(int levels, double base, double decay,
+                                   int key_bits = 16);
+};
+
+/// Reconstruction threshold k for a level with n packets in the slot:
+/// k = ceil((1 - threshold) * n), clamped to [1, n].
+[[nodiscard]] int shares_required(double loss_threshold, int packets_in_slot);
+
+/// Receiver side: reconstructs the level key from the collected shares.
+/// Returns nullopt when fewer than `k` shares are available; with k or more
+/// (any subset) it returns the exact key.
+[[nodiscard]] std::optional<crypto::group_key> reconstruct_threshold_key(
+    std::span<const crypto::shamir_share> collected, int k);
 
 /// Sender-side hook: plugs into flid_sender like the layered DELTA hook, but
 /// fills per-packet Shamir shares instead of XOR components.

@@ -1,7 +1,7 @@
-// Session parameters for FLID-style cumulative layered multicast
-// (paper section 5.1 defaults: 10 groups, 100 Kbps minimal group, cumulative
-// rate growing multiplicatively by 1.5 per group, 576-byte packets,
-// 500 ms slots for FLID-DL / 250 ms for FLID-DS).
+// Session parameters for FLID-style slotted multicast, cumulative or
+// replicated (paper section 5.1 defaults: 10 groups, 100 Kbps minimal group,
+// cumulative rate growing multiplicatively by 1.5 per group, 576-byte
+// packets, 500 ms slots for FLID-DL / 250 ms for FLID-DS).
 #ifndef MCC_FLID_FLID_CONFIG_H
 #define MCC_FLID_FLID_CONFIG_H
 
@@ -13,6 +13,12 @@
 
 namespace mcc::flid {
 
+/// How the session's groups relate (paper section 3.1.2, "Session
+/// structure"). Cumulative: subscription level g means groups 1..g, group g
+/// carries the differential layer. Replicated: level g means group g alone,
+/// which carries the whole content at the level-g rate.
+enum class session_structure { cumulative, replicated };
+
 struct flid_config {
   int session_id = 1;
   int num_groups = 10;
@@ -20,6 +26,9 @@ struct flid_config {
   double rate_multiplier = 1.5;   // cumulative rate growth per group
   sim::time_ns slot_duration = sim::milliseconds(500);
   int packet_bytes = 576;
+  /// Kept in the padding after packet_bytes: the size of this struct is
+  /// part of the reported population state (edge_aggregate::state_bytes).
+  session_structure structure = session_structure::cumulative;
   /// Per-slot probability that the protocol authorizes an upgrade to group 2
   /// (the increase signal of FLID-DL, modelled as Bernoulli).
   double upgrade_prob = 0.3;

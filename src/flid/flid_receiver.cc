@@ -15,6 +15,8 @@ flid_receiver::flid_receiver(sim::network& net, sim::node_id host,
       membership_(net, host, edge_router),
       monitor_(net.sched()) {
   util::require(strategy_ != nullptr, "flid_receiver: strategy required");
+  util::require(cfg_.structure == session_structure::cumulative,
+                "flid_receiver: cumulative session required");
   join_time_.assign(static_cast<std::size_t>(cfg_.num_groups) + 1, -1);
   net_.get(host_)->add_agent(this);
 }

@@ -53,11 +53,14 @@ void flid_sender::start(sim::time_ns at) {
 std::uint32_t flid_sender::auth_mask_for_slot(std::int64_t slot) {
   if (slot == auth_cache_slot_) return auth_cache_mask_;
   // Hash-derived Bernoulli draws: deterministic per (session seed, slot,
-  // group) regardless of evaluation order.
+  // group) regardless of evaluation order. Replicated sessions draw from
+  // their own salted stream.
+  const std::uint64_t salt =
+      cfg_.structure == session_structure::replicated ? 0x5a5aULL : 0;
   std::uint32_t mask = 0;
   for (int g = 2; g <= cfg_.num_groups; ++g) {
     const std::uint64_t h = crypto::oneway_mix(
-        (static_cast<std::uint64_t>(cfg_.session_id) << 48) ^
+        (static_cast<std::uint64_t>(cfg_.session_id) << 48) ^ salt ^
         (static_cast<std::uint64_t>(slot) * 0x9e3779b97f4a7c15ULL) ^
         static_cast<std::uint64_t>(g));
     const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
@@ -69,7 +72,11 @@ std::uint32_t flid_sender::auth_mask_for_slot(std::int64_t slot) {
 }
 
 int flid_sender::packets_in_slot(int g, std::int64_t slot) const {
-  const double rate = cfg_.group_rate_bps(g);
+  // A replicated group carries the whole content at the level-g rate, a
+  // cumulative one only its differential layer.
+  const double rate = cfg_.structure == session_structure::replicated
+                          ? cfg_.cumulative_rate_bps(g)
+                          : cfg_.group_rate_bps(g);
   const double t = sim::to_seconds(cfg_.slot_duration);
   const double per_packet_bits = 8.0 * cfg_.packet_bytes;
   const auto upto = [&](std::int64_t s) {
@@ -106,16 +113,21 @@ void flid_sender::begin_slot(std::int64_t slot) {
   for (int g = 1; g <= cfg_.num_groups; ++g) {
     const int n = counts_[static_cast<std::size_t>(g)];
     for (int i = 0; i < n; ++i) {
-      // Even pacing with +-25% jitter: real multicast sources are not
-      // phase-locked, and deterministic alignment across sessions would
-      // produce pathological drop synchronization at the bottleneck.
-      const double jitter = rng_.uniform(-0.25, 0.25);
-      const double position = (static_cast<double>(i) + 0.5 + jitter) / n;
-      const auto offset = static_cast<sim::time_ns>(
-          position * static_cast<double>(t));
-      const sim::time_ns when =
-          slot_start + std::clamp<sim::time_ns>(offset, 0, t - 1);
-      series_.add(when);
+      sim::time_ns offset = 0;
+      if (cfg_.structure == session_structure::replicated) {
+        // Replicated sessions pace their sends evenly, without jitter.
+        offset = (2 * static_cast<sim::time_ns>(i) + 1) * t / (2 * n);
+      } else {
+        // Even pacing with +-25% jitter: real multicast sources are not
+        // phase-locked, and deterministic alignment across sessions would
+        // produce pathological drop synchronization at the bottleneck.
+        const double jitter = rng_.uniform(-0.25, 0.25);
+        const double position = (static_cast<double>(i) + 0.5 + jitter) / n;
+        offset = std::clamp<sim::time_ns>(
+            static_cast<sim::time_ns>(position * static_cast<double>(t)), 0,
+            t - 1);
+      }
+      series_.add(slot_start + offset);
       sends_.push_back({g, i});
     }
   }

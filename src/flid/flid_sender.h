@@ -1,9 +1,9 @@
-// FLID sender: slotted transmission of N cumulative layers with
-// probabilistic per-slot upgrade authorizations (the increase signals of
-// FLID-DL / RLC), and a hook through which DELTA injects its in-band key
-// material without changing the transmission pattern (paper section 4.1:
-// "adopting DELTA does not require from a protocol to change its
-// transmission pattern").
+// FLID sender: slotted transmission of N groups, cumulative layers or
+// replicated streams (flid_config::structure), with probabilistic per-slot
+// upgrade authorizations (the increase signals of FLID-DL / RLC), and a hook
+// through which DELTA injects its in-band key material without changing the
+// transmission pattern (paper section 4.1: "adopting DELTA does not require
+// from a protocol to change its transmission pattern").
 #ifndef MCC_FLID_FLID_SENDER_H
 #define MCC_FLID_FLID_SENDER_H
 

@@ -3,19 +3,19 @@
 // a different rate; a receiver subscribes to exactly one group, switching
 // down on congestion and up on authorization.
 //
-// Reuses the FLID slot structure and wire header; the subscription level g
-// means "member of group g only" instead of "member of groups 1..g".
+// The sender is flid_sender with flid_config::structure = replicated: same
+// slot structure and wire header, but group g transmits at
+// cumulative_rate(g), since each group carries the full content at quality
+// level g. The subscription level g means "member of group g only" instead
+// of "member of groups 1..g".
 #ifndef MCC_FLID_REPLICATED_H
 #define MCC_FLID_REPLICATED_H
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <vector>
 
+#include "crypto/key.h"
 #include "flid/flid_config.h"
-#include "flid/flid_receiver.h"
-#include "flid/flid_sender.h"
 #include "mcast/igmp.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
@@ -23,43 +23,6 @@
 #include "sim/stats.h"
 
 namespace mcc::flid {
-
-/// Sender: transmits every group at its own (non-cumulative) rate. Group g
-/// transmits at cumulative_rate(g) — in replicated multicast each group's
-/// rate is the full session rate at quality level g.
-class replicated_sender {
- public:
-  replicated_sender(sim::network& net, sim::node_id host,
-                    const flid_config& cfg, std::uint64_t seed);
-
-  void start(sim::time_ns at = 0);
-  void set_delta_hook(delta_sender_hook* hook) { delta_ = hook; }
-  void set_sigma_tagging(bool on) { sigma_tagging_ = on; }
-  void set_sigma_protected(bool on) { sigma_protected_ = on; }
-
-  [[nodiscard]] const flid_config& config() const { return cfg_; }
-  [[nodiscard]] std::uint32_t auth_mask_for_slot(std::int64_t slot);
-  [[nodiscard]] int packets_in_slot(int g, std::int64_t slot) const;
-
- private:
-  void begin_slot(std::int64_t slot);
-  void send_packet(std::int64_t slot, int g, int seq, int count,
-                   std::uint32_t auth_mask);
-
-  sim::network& net_;
-  sim::node_id host_;
-  flid_config cfg_;
-  delta_sender_hook* delta_ = nullptr;
-  bool sigma_tagging_ = false;
-  bool sigma_protected_ = false;
-  bool started_ = false;
-  // The slot being paced out, as in flid_sender.
-  std::int64_t slot_ = 0;
-  std::uint32_t mask_ = 0;
-  std::vector<int> counts_;
-  std::vector<paced_send> sends_;
-  sim::event_series series_;
-};
 
 /// Honest receiver for the replicated protocol over plain IGMP: one group at
 /// a time; down on a lossy slot, up on authorization.

@@ -1,11 +1,11 @@
-// Tests for the replicated-multicast DELTA instantiation (paper Figure 5).
-#include "core/delta_replicated.h"
-
+// Tests for the XOR DELTA instantiation on replicated sessions (paper
+// Figure 5): delta_layered_sender with session_structure::replicated.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
-#include "core/delta_layered.h"  // key_lead_slots
+#include "core/delta_layered.h"
 
 namespace mcc::core {
 namespace {
@@ -13,7 +13,8 @@ namespace {
 constexpr int groups = 5;
 
 struct rep_harness {
-  rep_harness() : sender(7, groups, 64, 99) {}
+  rep_harness()
+      : sender(7, groups, 64, 99, flid::session_structure::replicated) {}
 
   /// Simulates one slot; the receiver listens to `current` (and overhears
   /// decrease fields only from its own group, per Figure 5).
@@ -42,7 +43,7 @@ struct rep_harness {
 
   [[nodiscard]] bool valid(std::int64_t slot, int g,
                            crypto::group_key k) const {
-    const replicated_slot_keys* keys = sender.keys_for(slot + key_lead_slots);
+    const delta_slot_keys* keys = sender.keys_for(slot + key_lead_slots);
     if (keys == nullptr) return false;
     if (k == keys->top[static_cast<std::size_t>(g)]) return true;
     if (g <= groups - 1 && k == keys->decrease[static_cast<std::size_t>(g)]) {
@@ -52,7 +53,7 @@ struct rep_harness {
     return g >= 2 && inc.has_value() && k == *inc;
   }
 
-  delta_replicated_sender sender;
+  delta_layered_sender sender;
 };
 
 TEST(delta_replicated, top_key_is_group_local_xor) {

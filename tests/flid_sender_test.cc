@@ -271,7 +271,9 @@ struct ten_group_world {
   std::unique_ptr<flid_sender> sender;
   std::unique_ptr<send_stream_digest> sink;
 
-  ten_group_world() {
+  explicit ten_group_world(
+      session_structure structure = session_structure::cumulative) {
+    cfg.structure = structure;
     const auto src = net.add_host("src");
     const auto r = net.add_router("r");
     const auto dst = net.add_host("dst");
@@ -301,6 +303,38 @@ TEST(flid_sender, paced_send_stream_is_pinned) {
   EXPECT_EQ(w.sink->packets, w.sender->stats().data_packets);
   EXPECT_EQ(w.sink->digest, 0x7a6babdf5570a3faull)
       << std::hex << w.sink->digest;
+}
+
+TEST(flid_sender, replicated_send_stream_is_pinned) {
+  // A replicated session paces every group at its full content rate,
+  // evenly and without jitter, and salts its authorization draws; this
+  // digest was recorded with a sender class of its own.
+  const ten_group_world w(session_structure::replicated);
+  EXPECT_EQ(w.sender->stats().slots, 20u);
+  EXPECT_EQ(w.sink->packets, 24588u);
+  EXPECT_EQ(w.sink->digest, 0x46f7f002b6847202ull)
+      << std::hex << w.sink->digest;
+}
+
+TEST(flid_sender, auth_masks_are_pinned_for_both_structures) {
+  // Replicated sessions draw their upgrade authorizations from a salted
+  // stream of their own; both folds were recorded before the two senders
+  // became one.
+  sim::scheduler sched;
+  sim::network net{sched};
+  const auto src = net.add_host("src");
+  const auto fold = [&](session_structure structure) {
+    flid_config cfg;
+    cfg.structure = structure;
+    flid_sender sender(net, src, cfg, 5);
+    std::uint64_t digest = 1469598103934665603ull;
+    for (std::int64_t slot = 0; slot < 200; ++slot) {
+      digest = (digest ^ sender.auth_mask_for_slot(slot)) * 1099511628211ull;
+    }
+    return digest;
+  };
+  EXPECT_EQ(fold(session_structure::cumulative), 0x7409c6b1cbc82fb3ull);
+  EXPECT_EQ(fold(session_structure::replicated), 0x4af86b1c40066267ull);
 }
 
 TEST(flid_sender, event_queue_holds_one_entry_per_group_not_per_packet) {

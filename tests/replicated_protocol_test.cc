@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "flid/flid_receiver.h"
+#include "flid/flid_sender.h"
 #include "mcast/igmp.h"
 #include "test_util.h"
 
@@ -41,6 +45,7 @@ struct replicated_fixture : ::testing::Test {
 flid_config replicated_config() {
   flid_config fc;
   fc.session_id = 8;
+  fc.structure = session_structure::replicated;
   fc.group_addr_base = 8000;
   fc.num_groups = 5;
   fc.base_rate_bps = 100e3;
@@ -52,7 +57,7 @@ flid_config replicated_config() {
 TEST_F(replicated_fixture, climbs_to_top_group_with_ample_capacity) {
   wire(10e6);
   const auto fc = replicated_config();
-  replicated_sender sender(net_, src, fc, 1);
+  flid_sender sender(net_, src, fc, 1);
   sender.start(0);
   replicated_receiver receiver(net_, dst, r2, fc);
   receiver.start(0);
@@ -63,7 +68,7 @@ TEST_F(replicated_fixture, climbs_to_top_group_with_ample_capacity) {
 TEST_F(replicated_fixture, settles_at_sustainable_group_under_bottleneck) {
   wire(300e3);
   const auto fc = replicated_config();  // rates 100,140,196,274,384 Kbps
-  replicated_sender sender(net_, src, fc, 1);
+  flid_sender sender(net_, src, fc, 1);
   sender.start(0);
   replicated_receiver receiver(net_, dst, r2, fc);
   receiver.start(0);
@@ -81,7 +86,7 @@ TEST_F(replicated_fixture, settles_at_sustainable_group_under_bottleneck) {
 TEST_F(replicated_fixture, switches_exactly_one_group_at_a_time) {
   wire(10e6);
   const auto fc = replicated_config();
-  replicated_sender sender(net_, src, fc, 1);
+  flid_sender sender(net_, src, fc, 1);
   sender.start(0);
   replicated_receiver receiver(net_, dst, r2, fc);
   receiver.start(0);
@@ -98,7 +103,7 @@ TEST_F(replicated_fixture, switches_exactly_one_group_at_a_time) {
 TEST_F(replicated_fixture, only_one_group_subscribed_at_any_time) {
   wire(10e6);
   const auto fc = replicated_config();
-  replicated_sender sender(net_, src, fc, 1);
+  flid_sender sender(net_, src, fc, 1);
   sender.start(0);
   replicated_receiver receiver(net_, dst, r2, fc);
   receiver.start(0);
@@ -115,7 +120,7 @@ TEST_F(replicated_fixture, only_one_group_subscribed_at_any_time) {
 TEST_F(replicated_fixture, sender_rates_are_full_content_rates) {
   wire(10e6);
   const auto fc = replicated_config();
-  replicated_sender sender(net_, src, fc, 1);
+  flid_sender sender(net_, src, fc, 1);
   // Group g of a replicated session carries the whole content at the
   // level-g rate (not a differential layer).
   const double t = sim::to_seconds(fc.slot_duration);
@@ -126,6 +131,16 @@ TEST_F(replicated_fixture, sender_rates_are_full_content_rates) {
     EXPECT_NEAR(bps, fc.cumulative_rate_bps(g), 0.05 * fc.cumulative_rate_bps(g))
         << "group " << g;
   }
+}
+
+TEST_F(replicated_fixture, receivers_refuse_the_wrong_session_structure) {
+  wire(10e6);
+  auto fc = replicated_config();
+  EXPECT_THROW(flid_receiver(net_, dst, r2, fc,
+                             std::make_unique<honest_plain_strategy>()),
+               util::invariant_error);
+  fc.structure = session_structure::cumulative;
+  EXPECT_THROW(replicated_receiver(net_, dst, r2, fc), util::invariant_error);
 }
 
 }  // namespace

@@ -88,7 +88,10 @@ struct sigma_harness {
     return out;
   }
 
-  void feed(const sim::packet& p) { sigma->handle_packet(p, nullptr); }
+  /// Delivers a control shard as it arrives from `src`, the session source.
+  void feed(const sim::packet& p) {
+    sigma->handle_packet(p, net.next_hop(src, router));
+  }
 
   /// Starts `slot` on `delta` and feeds the router every data shard of its
   /// key block, so the block for slot + key_lead_slots decodes.

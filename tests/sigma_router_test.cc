@@ -427,6 +427,36 @@ TEST(sigma_router_slots, subscription_far_ahead_of_the_session_is_refused) {
   EXPECT_EQ(h.net.get(h.host)->stats().delivered_local, 3u);
 }
 
+TEST(sigma_router_slots, control_shards_from_a_host_are_refused) {
+  // Key blocks come down the session's tree from its source. A receiver
+  // host that forges a whole block for a far-future slot must neither
+  // install its keys nor move the session's newest slot.
+  sigma_harness h;
+  delta_layered_sender forger(sigma_harness::session_id, 4, 16, 21);
+  constexpr std::int64_t far = 1'000'000;
+  for (const auto& p : h.make_shards(forger, far, 4, 4)) {
+    h.sigma->handle_packet(p, h.iface->reverse());
+  }
+  EXPECT_EQ(h.sigma->stats().ctrl_refused, 8u);
+  EXPECT_EQ(h.sigma->stats().ctrl_shards, 0u);
+  EXPECT_EQ(h.sigma->stats().blocks_decoded, 0u);
+  h.subscribe(sigma_harness::session_id, far + key_lead_slots,
+              {{sigma_harness::group(1),
+                forger.keys_for(far + key_lead_slots)->top[1]}});
+  EXPECT_EQ(h.sigma->stats().valid_keys, 0u);
+  EXPECT_EQ(h.sigma->parked_subscriptions(), 0u);
+
+  // The source's own blocks still decode, and its keys still validate.
+  delta_layered_sender delta(sigma_harness::session_id, 4, 16, 22);
+  h.decode_slot(delta, 0);
+  EXPECT_EQ(h.sigma->stats().blocks_decoded, 1u);
+  h.subscribe(sigma_harness::session_id, key_lead_slots,
+              {{sigma_harness::group(1),
+                delta.keys_for(key_lead_slots)->top[1]}});
+  EXPECT_EQ(h.sigma->stats().valid_keys, 1u);
+  EXPECT_EQ(h.sigma->stats().ctrl_refused, 8u);
+}
+
 TEST(sigma_router_slots, key_tuples_are_kept_for_the_key_history) {
   // After the block for target slot T decodes, the tuples of T - 8 still
   // validate and those of T - 9 are gone.

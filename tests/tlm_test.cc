@@ -6,13 +6,15 @@
 #include <gtest/gtest.h>
 
 #include "exp/testbed.h"
+#include "traffic/cbr.h"
 
 namespace mcc::core {
 namespace {
 
 struct tlm_world {
   explicit tlm_world(double bottleneck_bps, double base_threshold = 0.25,
-                     std::uint64_t seed = 3) {
+                     std::uint64_t seed = 3,
+                     std::unique_ptr<tlm_sigma_strategy> custom = nullptr) {
     exp::dumbbell_config cfg;
     cfg.bottleneck_bps = bottleneck_bps;
     cfg.seed = seed;
@@ -30,7 +32,9 @@ struct tlm_world {
     sender->start(0);
 
     dst = d->attach_host("tlm_rcv", "r");
-    auto strategy = std::make_unique<tlm_sigma_strategy>(thresholds);
+    auto strategy = custom != nullptr
+                        ? std::move(custom)
+                        : std::make_unique<tlm_sigma_strategy>(thresholds);
     strategy_raw = strategy.get();
     receiver = std::make_unique<flid::flid_receiver>(
         d->net(), dst, d->router("r"), fc, std::move(strategy));
@@ -160,6 +164,40 @@ TEST(tlm, shares_of_one_level_do_not_open_another) {
   EXPECT_EQ(crypto::mask_to_bits(*k1, 16), *delta.key_for(2, 1));
   EXPECT_NE(crypto::mask_to_bits(*k1, 16), *delta.key_for(2, 2));
   EXPECT_NE(crypto::mask_to_bits(*k1, 16), *delta.key_for(2, 3));
+}
+
+/// A TLM strategy that counts the closed-loop feedback records it sees.
+struct feedback_counting_strategy : tlm_sigma_strategy {
+  using tlm_sigma_strategy::tlm_sigma_strategy;
+  void on_feedback(const slot_feedback& fb) override {
+    ++feedback;
+    if (fb.granted == 0) ++cut_off;
+  }
+  std::uint64_t feedback = 0;
+  std::uint64_t cut_off = 0;
+};
+
+TEST(tlm, cut_off_receiver_counts_cutoff_slots_and_sees_feedback) {
+  // A CBR flood over the bottleneck's capacity for 20 s: the TLM receiver
+  // loses its shares, its authorization lapses and the router cuts it off.
+  // The slots it spends with nothing delivered count as cutoff slots, and
+  // every evaluated slot reaches the feedback hook, as for FLID-DS.
+  const auto thresholds = threshold_config::uniform(10, 0.25, 16);
+  auto counting = std::make_unique<feedback_counting_strategy>(thresholds);
+  feedback_counting_strategy* probe = counting.get();
+  tlm_world w(1e6, 0.25, 3, std::move(counting));
+  ASSERT_EQ(w.thresholds.loss_threshold, thresholds.loss_threshold);
+  ASSERT_EQ(w.thresholds.key_bits, thresholds.key_bits);
+  traffic::cbr_config flood;
+  flood.rate_bps = 1.2e6;
+  flood.start_time = sim::seconds(40.0);
+  flood.stop_time = sim::seconds(60.0);
+  w.d->add_cbr(flood);
+  w.d->run_until(sim::seconds(90.0));
+  EXPECT_GT(w.strategy_raw->stats().cutoff_slots, 0u);
+  EXPECT_GT(probe->cut_off, 0u);
+  // Four slots a second, minus the few before the first evaluation.
+  EXPECT_GT(probe->feedback, 4u * 85u);
 }
 
 TEST(tlm, sigma_router_needs_no_changes_for_the_new_protocol) {
