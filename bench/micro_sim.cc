@@ -151,11 +151,17 @@ struct counting_sink : sim::agent {
 
 static void bm_link_hop(benchmark::State& state) {
   // Packet hop throughput: unicast packets from a host through a router to
-  // another host (two links, one router forward) while the first link holds
-  // a standing queue of `depth` packets. Each iteration offers a batch and
-  // runs for exactly the batch's serialization time, so the queue neither
-  // drains nor grows.
+  // another host (two links, one router forward). With `idle` 0 the first
+  // link holds a standing queue of `depth` packets: each iteration offers a
+  // batch and runs for exactly the batch's serialization time, so the queue
+  // neither drains nor grows. With `idle` 1 the batch is offered one packet
+  // every two serialization times instead, so each packet finds the line
+  // idle while the ones before it are still in flight: its serialization
+  // ends are silent and only its deliveries fire. `events_per_packet`
+  // counts every executed event (the idle case's offers included) per
+  // packet through both hops.
   const auto depth = static_cast<int>(state.range(0));
+  const bool idle = state.range(1) != 0;
   sim::scheduler s;
   sim::network net(s);
   const sim::node_id src = net.add_host("src");
@@ -182,17 +188,29 @@ static void bm_link_hop(benchmark::State& state) {
       net.get(src)->send(std::move(p));
     }
   };
-  const sim::time_ns batch_time = kBatch * sim::transmission_time(kSize, cfg.bps);
+  const sim::time_ns gap = (idle ? 2 : 1) * sim::transmission_time(kSize, cfg.bps);
   offer(depth);
+  const std::uint64_t events_before = s.executed_events();
   for (auto _ : state) {
-    offer(kBatch);
-    s.run_until(s.now() + batch_time);
+    if (idle) {
+      for (int i = 0; i < kBatch; ++i) s.after(i * gap, [&offer] { offer(1); });
+    } else {
+      offer(kBatch);
+    }
+    s.run_until(s.now() + kBatch * gap);
   }
   benchmark::DoNotOptimize(sink.received);
   // One item = one packet through both hops.
   state.SetItemsProcessed(state.iterations() * kBatch);
+  state.counters["events_per_packet"] =
+      static_cast<double>(s.executed_events() - events_before) /
+      static_cast<double>(state.iterations() * kBatch);
 }
-BENCHMARK(bm_link_hop)->Arg(16)->Arg(1024);
+BENCHMARK(bm_link_hop)
+    ->ArgNames({"depth", "idle"})
+    ->Args({16, 0})
+    ->Args({1024, 0})
+    ->Args({0, 1});
 
 static void bm_paced_senders(benchmark::State& state) {
   // Sender-side pacing: N plain 10-group FLID senders on one host, each

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "crypto/oneway.h"
+#include "util/require.h"
 
 namespace mcc::core {
 
@@ -11,9 +12,13 @@ flid_ds_sender make_flid_ds_sender(sim::network& net, sim::node_id sender_host,
                                    std::uint64_t seed,
                                    const sigma_emitter_config& emitter_cfg) {
   const flid::flid_config& cfg = sender.config();
+  util::require(cfg.structure == flid::session_structure::cumulative,
+                "make_flid_ds_sender: replicated sessions cannot run under "
+                "DELTA/SIGMA (no SIGMA receiver strategy reconstructs "
+                "replicated keys)");
   flid_ds_sender out;
   out.delta = std::make_unique<delta_layered_sender>(
-      cfg.session_id, cfg.num_groups, cfg.key_bits, seed, cfg.structure);
+      cfg.session_id, cfg.num_groups, cfg.key_bits, seed);
   std::vector<sim::group_addr> groups;
   for (int g = 1; g <= cfg.num_groups; ++g) groups.push_back(cfg.group(g));
   out.emitter = std::make_unique<sigma_ctrl_emitter>(

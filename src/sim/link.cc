@@ -1,6 +1,7 @@
 #include "sim/link.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/node.h"
 
@@ -71,7 +72,17 @@ aqm_decision link::admit(const packet& p, time_ns now) {
   return d;
 }
 
+link_stats link::stats() const {
+  link_stats s = stats_;
+  if (silent_end_ && sched_.passed(*silent_end_)) {
+    ++s.delivered;
+    s.bytes_delivered += queue_.front().p.size_bytes;
+  }
+  return s;
+}
+
 void link::transmit(packet&& p) {
+  settle();
   const time_ns now = sched_.now();
   const aqm_decision d = admit(p, now);
   if (d == aqm_decision::drop) return;
@@ -79,6 +90,7 @@ void link::transmit(packet&& p) {
 }
 
 void link::transmit(const packet& p) {
+  settle();
   const time_ns now = sched_.now();
   const aqm_decision d = admit(p, now);
   if (d == aqm_decision::drop) return;
@@ -103,7 +115,11 @@ void link::enqueued(packet& p, aqm_decision d, time_ns now) {
                    static_cast<std::uint64_t>(p.size_bytes),
                    static_cast<std::uint64_t>(queued_bytes_));
   }
-  if (!busy_) start_transmission();
+  if (busy_) {
+    queue_silent_end();  // the head's end now starts this packet
+  } else {
+    start_transmission();
+  }
 }
 
 void link::start_transmission() {
@@ -141,39 +157,67 @@ void link::start_transmission() {
     }
     // The head stays at the front of queue_ while it is serialized.
     busy_ = true;
-    const time_ns tx = transmission_time(head.p.size_bytes, cfg_.bps);
-    sched_.after(tx, [this] { on_serialized(); });
+    const scheduler::ticket end = sched_.reserve_at(
+        now + transmission_time(head.p.size_bytes, cfg_.bps));
+    if (queue_.size() == 1 && delivery_armed_) {
+      silent_end_ = end;  // nothing to start or arm: see link.h
+    } else {
+      sched_.queue(end, [this] { on_serialized(); });
+    }
     return;
   }
   busy_ = false;
 }
 
 void link::on_serialized() {
-  packet& p = queue_.front().p;
-  ++stats_.delivered;
-  stats_.bytes_delivered += p.size_bytes;
-  // The packet starts propagating while the link head becomes free for the
-  // next packet.
-  const in_flight& f =
-      flying_.emplace_back(sched_.now() + cfg_.delay, std::move(p));
-  queue_.pop_front();
+  const time_ns arrive_at = end_serialization(sched_.now());
   if (!delivery_armed_) {
     delivery_armed_ = true;
-    sched_.at(f.arrive_at, [this] { on_deliver(); });
+    sched_.at(arrive_at, [this] { on_deliver(); });
   }
   start_transmission();
 }
 
+time_ns link::end_serialization(time_ns end) {
+  // The packet starts propagating while the link head becomes free for the
+  // next packet.
+  packet& p = queue_.front().p;
+  ++stats_.delivered;
+  stats_.bytes_delivered += p.size_bytes;
+  const time_ns arrive_at = end + cfg_.delay;
+  flying_.emplace_back(arrive_at, std::move(p));
+  queue_.pop_front();
+  return arrive_at;
+}
+
+void link::settle() {
+  if (silent_end_ && sched_.passed(*silent_end_)) {
+    end_serialization(silent_end_->when);
+    silent_end_.reset();
+    busy_ = false;
+  }
+}
+
+void link::queue_silent_end() {
+  if (silent_end_) {
+    sched_.queue(*std::exchange(silent_end_, std::nullopt),
+                 [this] { on_serialized(); });
+  }
+}
+
 void link::on_deliver() {
+  settle();
   util::require(!flying_.empty(), "link: delivery with nothing in flight");
   if (flying_.size() > 1) {
     sched_.at(flying_[1].arrive_at, [this] { on_deliver(); });
   } else {
     delivery_armed_ = false;
+    queue_silent_end();  // the head's end now arms the delivery
   }
-  // Handed over in place: only on_serialized() pushes to flying_, never a
-  // receive() call, so the front slot stays put until it is popped on the
-  // way out (also when receive() throws).
+  // Handed over in place: only the end of a serialization pushes to
+  // flying_, and receive() at the far end never transmits on this link, so
+  // the front slot stays put until it is popped on the way out (also when
+  // receive() throws).
   struct pop_front_on_exit {
     ring<in_flight>& r;
     ~pop_front_on_exit() { r.pop_front(); }

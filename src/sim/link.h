@@ -3,18 +3,30 @@
 // delegated to a pluggable AQM policy (sim/aqm.h): drop-tail, threshold-ECN,
 // RED, or CoDel, selected via link_config::aqm.
 //
-// The transmit -> propagate chain runs on two per-link pooled timers (one
-// serialization timer, one delivery timer) whose callbacks capture only the
-// link pointer: packets wait in the link's own ring FIFOs instead of being
-// moved through per-hop closures. A packet is moved twice per link — into
-// the queue ring, and from its head into the in-flight ring once serialized
-// — and handed to the next node by reference, so forwarding a packet
-// allocates nothing once the rings have reached their peak size.
+// The transmit -> propagate chain runs on at most two pending events per
+// link (the end of the head's serialization and the next delivery) whose
+// callbacks capture only the link pointer: packets wait in the link's own
+// ring FIFOs instead of being moved through per-hop closures. A packet is
+// moved twice per link — into the queue ring, and from its head into the
+// in-flight ring once serialized — and handed to the next node by
+// reference, so forwarding a packet allocates nothing once the rings have
+// reached their peak size.
+//
+// Most serialization ends are silent: nothing waits behind the packet and
+// the delivery timer is already armed, so the end only moves the packet to
+// the in-flight ring and frees the line. Such an end fires no event. The
+// link reserves its rank (scheduler::reserve_at) and applies it on its next
+// transmit, delivery or stats read once the rank has passed. A transmit
+// that queues behind the head, or a delivery that disarms the timer, before
+// that rank turns it back into a real event at the reserved rank. Either
+// way every effect happens in the same (time, seq) order as with one event
+// per end.
 #ifndef MCC_SIM_LINK_H
 #define MCC_SIM_LINK_H
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "obs/trace.h"
@@ -79,7 +91,9 @@ class link {
   /// companion of the max_queued_bytes high-watermark.
   [[nodiscard]] double time_avg_queued_bytes(time_ns now) const;
 
-  [[nodiscard]] const link_stats& stats() const { return stats_; }
+  /// The counters as of now(), a silent serialization end that has passed
+  /// included.
+  [[nodiscard]] link_stats stats() const;
 
  private:
   /// The buffer limit and the policy's arrival decision, with drops
@@ -90,6 +104,13 @@ class link {
   void enqueued(packet& p, aqm_decision d, time_ns now);
   void start_transmission();
   void on_serialized();
+  /// Moves the serialized head into the in-flight ring; `end` is when its
+  /// serialization ended. Returns when it arrives at the far end.
+  time_ns end_serialization(time_ns end);
+  /// Applies a silent serialization end whose rank has passed.
+  void settle();
+  /// Turns a pending silent end into an on_serialized() event at its rank.
+  void queue_silent_end();
   void on_deliver();
   /// Folds the elapsed occupancy into the time-weighted integral; call
   /// immediately before every change of queued_bytes_.
@@ -119,6 +140,9 @@ class link {
   std::int64_t queued_bytes_ = 0;
   bool busy_ = false;
   bool delivery_armed_ = false;
+  /// The reserved rank of the head's serialization end while that end is
+  /// silent (it fires no event).
+  std::optional<scheduler::ticket> silent_end_;
   double queue_byte_ns_ = 0.0;     // integral of queued_bytes over time
   time_ns queue_changed_at_ = 0;   // left edge of the un-integrated interval
   link_stats stats_;

@@ -55,6 +55,9 @@ std::pair<link*, link*> network::connect(node_id a, node_id b,
                                          const link_config& ab,
                                          const link_config& ba) {
   util::require(!routing_final_, "network: topology frozen after routing");
+  // A link hands a delivered packet to its far end in place, which relies
+  // on that end never transmitting on the same link.
+  util::require(a != b, "network: a link needs two distinct nodes");
   node* na = get(a);
   node* nb = get(b);
   links_.push_back(std::make_unique<link>(sched_, na, nb,
@@ -116,8 +119,8 @@ void network::register_group_source(group_addr g, node_id source_host) {
 }
 
 node_id network::group_source(group_addr g) const {
-  auto it = group_sources_.find(g);
-  return it == group_sources_.end() ? invalid_node : it->second;
+  const node_id* src = group_sources_.find(g);
+  return src == nullptr ? invalid_node : *src;
 }
 
 void network::announce_session(const session_announcement& ann) {

@@ -89,7 +89,7 @@ class network {
   // next_hop_[src * n + dst] = first link on the shortest path (hop count).
   std::vector<link*> next_hop_;
   bool routing_final_ = false;
-  std::map<group_addr, node_id> group_sources_;
+  group_map<node_id> group_sources_;
   group_set sigma_protected_;
   std::map<int, session_announcement> announcements_;
   std::uint64_t uid_counter_ = 0;

@@ -33,6 +33,7 @@ class ring {
   /// The i-th element from the front (0 = front).
   T& operator[](std::size_t i) { return data_[(head_ + i) & (capacity_ - 1)]; }
   T& front() { return data_[head_]; }
+  const T& front() const { return data_[head_]; }
 
   /// Constructs T{args...} at the back (brace-initialised, so aggregates
   /// work) and returns it.

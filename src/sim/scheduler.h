@@ -16,14 +16,22 @@
 // docs/performance.md for the layout and for why no O(1) structure replaces
 // it).
 //
+// An owner can also take an event's rank without queueing it: reserve_at()
+// returns the (when, seq) ticket an at() call would have taken, passed()
+// says whether an event at that rank would already have fired, and queue()
+// puts the event in the heap at its reserved rank later. The owner decides
+// meanwhile whether the event is needed at all. A link whose serialization
+// ends with nothing to do applies that end itself on its next read instead
+// of firing an event for it (sim/link.h).
+//
 // The heap stays shallow because batches stay out of it. An owner that knows
 // a whole batch of fire times at once (a paced sender's slot of packets, a
-// SIGMA control block) hands them to an event_series, which reserves the
-// batch's sequence numbers in one go and keeps only the next event of each
-// non-decreasing run ("lane") in the heap. Each event still fires at the
-// (when, seq) rank plain at() calls would have given it, so the order is
-// unchanged; only pending_events() and its high-water mark shrink, from one
-// entry per queued packet to about one per lane.
+// SIGMA control block) hands them to an event_series, which reserves a
+// ticket per event and keeps only the next event of each non-decreasing run
+// ("lane") in the heap. Each event still fires at the (when, seq) rank plain
+// at() calls would have given it, so the order is unchanged; only
+// pending_events() and its high-water mark shrink, from one entry per queued
+// packet to about one per lane.
 //
 // Threading contract: a world — its scheduler, every event_handle the
 // scheduler returned, and every copy of those handles — belongs to one
@@ -258,9 +266,40 @@ class scheduler {
   template <typename F>
     requires std::is_invocable_r_v<void, std::decay_t<F>&>
   event_handle at(time_ns when, F&& fn) {
-    util::require(when >= now_, "scheduler: event scheduled in the past");
-    const std::uint32_t idx = push(when, reserve(1), std::forward<F>(fn));
+    const std::uint32_t idx = push(reserve_at(when), std::forward<F>(fn));
     return event_handle(pool_.pool, idx, (*pool_.pool)[idx].gen);
+  }
+
+  /// A reserved rank: events fire in (when, seq) order.
+  struct ticket {
+    time_ns when;
+    std::uint64_t seq;
+  };
+
+  /// Takes the rank an at(when) call would take now, without queueing
+  /// anything. A ticket that is never queued never fires and is not counted.
+  ticket reserve_at(time_ns when) {
+    util::require(when >= now_, "scheduler: event scheduled in the past");
+    util::require(next_seq_ < seq_limit,
+                  "scheduler: sequence numbers exhausted");
+    return {when, next_seq_++};
+  }
+
+  /// True if an event at `t`'s rank would already have fired: it ranks
+  /// before the running event or, between events, it was reserved before
+  /// the last run_until()/run() returned and is not after now() (the
+  /// horizon of run_until is inclusive).
+  [[nodiscard]] bool passed(const ticket& t) const {
+    return t.when < now_ || (t.when == now_ && t.seq < running_seq_);
+  }
+
+  /// Queues `fn` at a reserved rank that has not passed yet; it fires
+  /// exactly where an at() call made at reserve time would have.
+  template <typename F>
+    requires std::is_invocable_r_v<void, std::decay_t<F>&>
+  void queue(const ticket& t, F&& fn) {
+    util::require(!passed(t), "scheduler: ticket queued after its rank");
+    push(t, std::forward<F>(fn));
   }
 
   /// Schedules `fn` after a relative delay.
@@ -275,13 +314,17 @@ class scheduler {
   void run_until(time_ns until) {
     entry top;
     while (pop_next(until, top)) fire(top);
-    if (now_ < until) now_ = until;
+    if (now_ <= until) {
+      now_ = until;
+      running_seq_ = next_seq_;
+    }
   }
 
   /// Runs until the queue is empty.
   void run() {
     entry top;
     while (pop_next(std::numeric_limits<time_ns>::max(), top)) fire(top);
+    running_seq_ = next_seq_;
   }
 
   /// Pending entries, cancelled-but-not-yet-reaped ones included.
@@ -299,25 +342,16 @@ class scheduler {
   [[nodiscard]] std::size_t slots_high_water() const { return max_pending_; }
 
  private:
-  friend class event_series;
-
-  /// Reserves `n` consecutive sequence numbers and returns the first: the
-  /// ranks that `n` back-to-back at() calls would take.
-  std::uint64_t reserve(std::uint64_t n) {
-    util::require(n <= seq_limit - next_seq_,
-                  "scheduler: sequence numbers exhausted");
-    return std::exchange(next_seq_, next_seq_ + n);
-  }
-
-  /// Builds `fn` in a free slab slot and queues it at rank (when, seq), a
-  /// seq from reserve(); returns the slot.
+  /// Builds `fn` in a free slab slot and queues it at the ticket's rank;
+  /// returns the slot.
   template <typename F>
-  std::uint32_t push(time_ns when, std::uint64_t seq, F&& fn) {
+  std::uint32_t push(const ticket& t, F&& fn) {
     detail::event_pool& pool = *pool_.pool;
     const std::uint32_t idx = pool.next_free();
     pool[idx].fn.emplace(std::forward<F>(fn));
     pool.pop_free();
-    heap_push(entry{static_cast<std::uint64_t>(when), seq << slot_bits | idx});
+    heap_push(
+        entry{static_cast<std::uint64_t>(t.when), t.seq << slot_bits | idx});
     if (pending_events() > max_pending_) max_pending_ = pending_events();
     return idx;
   }
@@ -432,6 +466,7 @@ class scheduler {
     const slot_recycler recycle{pool, idx};
     if (!slot.fn) return;  // cancelled
     now_ = static_cast<time_ns>(top.when);
+    running_seq_ = top.key >> slot_bits;
     executed_++;
     slot.fn();
   }
@@ -448,6 +483,9 @@ class scheduler {
 
   time_ns now_ = 0;
   std::uint64_t next_seq_ = 0;
+  /// The ranks at now_ below this seq have fired: the running event's seq
+  /// or, between events, next_seq_ as the last run ended.
+  std::uint64_t running_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t max_pending_ = 0;  // high-water mark of pending_events()
   /// The scheduler's own reference to its pool. Dropping it destroys every
@@ -472,16 +510,15 @@ class scheduler {
 };
 
 /// A batch of events whose owner knows all their fire times up front (a
-/// paced sender's packets for one slot). The owner add()s the times in the
-/// order it would have called at() for them and then schedule()s the batch,
-/// which reserves that many consecutive sequence numbers. The batch splits
-/// into lanes wherever the time decreases; only the next event of each lane
-/// sits in the heap. When it fires, the series pushes the lane's next
-/// (when, reserved seq) and then calls `on_fire(k)` with the event's index
-/// in the batch. Every event keeps the (when, seq) rank that back-to-back
-/// at() calls would have given it, so the firing order is the same, ties
-/// included, while the heap holds one entry per lane instead of one per
-/// event.
+/// paced sender's packets for one slot). The owner add()s the times where it
+/// would have called at() for them, and each add() reserves the rank that
+/// at() call would have taken. schedule() then queues the batch, which
+/// splits into lanes wherever the time decreases; only the next event of
+/// each lane sits in the heap. When it fires, the series queues the lane's
+/// next reserved rank and then calls `on_fire(k)` with the event's index in
+/// the batch. Every event keeps the (when, seq) rank that the at() calls
+/// would have given it, so the firing order is the same, ties included,
+/// while the heap holds one entry per lane instead of one per event.
 ///
 /// One batch at a time: starting the next one before the previous one has
 /// drained is an error. Lane events cannot be cancelled, and the series must
@@ -493,50 +530,49 @@ class event_series {
   event_series(const event_series&) = delete;
   event_series& operator=(const event_series&) = delete;
 
-  /// Appends an event at `when` to the batch being built; the first add()
-  /// after schedule() starts a new batch.
+  /// Appends an event at `when` to the batch being built, at the rank an
+  /// at(when) call would take now; the first add() after schedule() starts
+  /// a new batch.
   void add(time_ns when) {
     if (!open_) {
       util::require(unfired_ == 0,
                     "event_series: new batch before the previous one drained");
-      times_.clear();
+      batch_.clear();
       open_ = true;
     }
-    util::require(when >= sched_.now(),
-                  "event_series: event scheduled in the past");
-    times_.push_back(when);
+    batch_.push_back(sched_.reserve_at(when));
   }
 
   /// Queues the batch built by add(): the head of each lane goes into the
-  /// heap, at the rank the batch's at() calls would have taken right now.
+  /// heap.
   void schedule() {
     if (!open_) return;  // nothing added since the last batch
     open_ = false;
-    unfired_ = times_.size();
-    base_seq_ = sched_.reserve(times_.size());
-    for (std::size_t k = 0; k < times_.size(); ++k) {
-      if (k == 0 || times_[k] < times_[k - 1]) push(k);
+    unfired_ = batch_.size();
+    for (std::size_t k = 0; k < batch_.size(); ++k) {
+      if (k == 0 || batch_[k].when < batch_[k - 1].when) push(k);
     }
   }
 
  private:
   void push(std::size_t k) {
-    sched_.push(times_[k], base_seq_ + k, [this, k] { fire(k); });
+    sched_.queue(batch_[k], [this, k] { fire(k); });
   }
 
   void fire(std::size_t k) {
     --unfired_;
-    if (k + 1 < times_.size() && times_[k + 1] >= times_[k]) push(k + 1);
+    if (k + 1 < batch_.size() && batch_[k + 1].when >= batch_[k].when) {
+      push(k + 1);
+    }
     on_fire_(k);
   }
 
   scheduler& sched_;
   std::function<void(std::size_t)> on_fire_;
-  /// The batch's fire times, in add() order; event k has seq base_seq_ + k.
-  std::vector<time_ns> times_;
-  std::uint64_t base_seq_ = 0;
+  /// The batch's reserved ranks, in add() order.
+  std::vector<scheduler::ticket> batch_;
   std::size_t unfired_ = 0;
-  bool open_ = false;  // add() is filling times_ for the next schedule()
+  bool open_ = false;  // add() is filling batch_ for the next schedule()
 };
 
 }  // namespace mcc::sim

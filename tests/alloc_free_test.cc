@@ -154,7 +154,9 @@ TEST(alloc_free, fig07_world_allocates_under_one_per_event) {
 
   const std::uint64_t events_before = tb.sched().executed_events();
   const std::uint64_t before = allocations();
-  tb.run_until(sim::seconds(20.0));
+  // 20 s of window: about 110,000 events, with silent serialization ends
+  // firing none.
+  tb.run_until(sim::seconds(22.0));
   const std::uint64_t events = tb.sched().executed_events() - events_before;
   const double per_event =
       static_cast<double>(allocations() - before) / static_cast<double>(events);

@@ -27,6 +27,22 @@ TEST(flid_ds, sender_bundle_wires_hook_and_tagging) {
       d.net().is_sigma_protected(session.config.group(session.config.num_groups)));
 }
 
+TEST(flid_ds, replicated_session_is_refused) {
+  // No SIGMA receiver strategy reconstructs replicated keys, so a protected
+  // replicated session would emit keys that no receiver ever submits.
+  sim::scheduler sched;
+  sim::network net(sched);
+  const auto src = net.add_host("src");
+  const auto dst = net.add_host("dst");
+  net.connect(src, dst, sim::link_config{});
+  net.finalize_routing();
+  flid::flid_config cfg;
+  cfg.structure = flid::session_structure::replicated;
+  flid::flid_sender sender(net, src, cfg, 1);
+  EXPECT_THROW((void)make_flid_ds_sender(net, src, sender, 1, {}),
+               util::invariant_error);
+}
+
 TEST(flid_ds, honest_receiver_matches_dl_throughput) {
   // Same bottleneck, one FLID-DL run and one FLID-DS run: average
   // throughputs must be comparable (paper Figure 8(c)).

@@ -3,9 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "crypto/prng.h"
 #include "test_util.h"
 
 namespace mcc::sim {
@@ -450,6 +457,191 @@ TEST(link, codel_head_drops_in_a_wrapped_ring_keep_the_line_busy) {
     const std::size_t k = second ? m - first_of_second : m;
     EXPECT_EQ(sink.times[m], t0 + static_cast<time_ns>(k + 1) * tx + cfg.delay);
   }
+}
+
+// --- silent serialization ends ------------------------------------------------
+
+/// (time, uid) of each packet handed to the far end, in order.
+using delivery_log = std::vector<std::pair<time_ns, std::uint64_t>>;
+
+/// The link's drop-tail path with one event per serialization end and one
+/// per delivery, as sim::link ran before it kept silent ends out of the
+/// queue. Test oracle only.
+class reference_link {
+ public:
+  reference_link(scheduler& s, const link_config& cfg) : s_(s), cfg_(cfg) {}
+
+  void transmit(const packet& p) {
+    if (queued_bytes_ + p.size_bytes > cfg_.queue_capacity_bytes) {
+      ++stats.dropped;
+      stats.bytes_dropped += p.size_bytes;
+      return;
+    }
+    queue_.push_back(p);
+    ++stats.enqueued;
+    queued_bytes_ += p.size_bytes;
+    stats.max_queued_bytes = std::max(stats.max_queued_bytes, queued_bytes_);
+    if (!busy_) start_transmission();
+  }
+
+  link_stats stats;
+  delivery_log log;
+  std::vector<time_ns> ends;  // serialization ends, in order
+
+ private:
+  void start_transmission() {
+    busy_ = !queue_.empty();
+    if (!busy_) return;
+    queued_bytes_ -= queue_.front().size_bytes;
+    s_.after(transmission_time(queue_.front().size_bytes, cfg_.bps),
+             [this] { on_serialized(); });
+  }
+
+  void on_serialized() {
+    ends.push_back(s_.now());
+    ++stats.delivered;
+    stats.bytes_delivered += queue_.front().size_bytes;
+    flying_.emplace_back(s_.now() + cfg_.delay, queue_.front());
+    queue_.pop_front();
+    if (!armed_) {
+      armed_ = true;
+      s_.at(flying_.back().first, [this] { on_deliver(); });
+    }
+    start_transmission();
+  }
+
+  void on_deliver() {
+    if (flying_.size() > 1) {
+      s_.at(flying_[1].first, [this] { on_deliver(); });
+    } else {
+      armed_ = false;
+    }
+    log.emplace_back(s_.now(), flying_.front().second.uid);
+    flying_.pop_front();
+  }
+
+  scheduler& s_;
+  link_config cfg_;
+  std::deque<packet> queue_;
+  std::deque<std::pair<time_ns, packet>> flying_;
+  std::int64_t queued_bytes_ = 0;
+  bool busy_ = false;
+  bool armed_ = false;
+};
+
+/// Logs what a host receives.
+class logging_agent : public agent {
+ public:
+  logging_agent(network& net, node_id host) : sched_(net.sched()) {
+    net.get(host)->add_agent(this);
+  }
+  bool handle_packet(const packet& p, link*) override {
+    log.emplace_back(sched_.now(), p.uid);
+    return true;
+  }
+  delivery_log log;
+
+ private:
+  scheduler& sched_;
+};
+
+auto fields(const link_stats& s) {
+  return std::make_tuple(s.enqueued, s.dropped, s.aqm_dropped, s.delivered,
+                         s.ecn_marked, s.bytes_delivered, s.bytes_dropped,
+                         s.max_queued_bytes);
+}
+
+TEST(link, matches_the_two_event_reference_under_random_traffic) {
+  // The real link and the reference take the same random transmits on one
+  // scheduler. Packet sizes are multiples of 100 bytes at 8 Mbps, so every
+  // serialization lasts a multiple of 100 us, and transmits and stats reads
+  // fall on that grid: many land on the very instant a serialization ends,
+  // before or after it in seq order depending on when they were scheduled.
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 6ULL}) {
+    std::uint64_t state = seed;
+    const auto rnd = [&state](std::uint64_t n) {
+      return crypto::splitmix64(state) % n;
+    };
+    constexpr time_ns grid = microseconds(100);
+    scheduler s;
+    link_config cfg;
+    cfg.bps = 8e6;
+    cfg.delay = static_cast<time_ns>(rnd(25)) * grid;  // 0 .. 2.4 ms
+    cfg.queue_capacity_bytes = 1000 + 500 * static_cast<std::int64_t>(rnd(8));
+    two_hosts t(s, cfg);
+    logging_agent sink(t.net, t.b);
+    reference_link ref(s, cfg);
+
+    std::uint64_t uid = 0;
+    int sends_left = 3000;
+    std::vector<time_ns> send_times;
+    std::function<void()> send = [&] {
+      // The next send is scheduled before or after this one's transmits,
+      // so it ranks on either side of the serialization ends they reserve.
+      const bool next_first = rnd(2) == 0;
+      const auto next = [&] {
+        if (--sends_left > 0) {
+          s.after(static_cast<time_ns>(rnd(12)) * grid, send);
+        }
+      };
+      if (next_first) next();
+      send_times.push_back(s.now());
+      for (std::uint64_t n = 1 + rnd(3); n > 0; --n) {
+        packet p = make_packet(100 * static_cast<int>(1 + rnd(10)), t.b);
+        p.uid = ++uid;
+        ref.transmit(p);
+        if (rnd(2) == 0) {
+          t.fwd->transmit(p);
+        } else {
+          t.fwd->transmit(packet(p));
+        }
+      }
+      if (!next_first) next();
+    };
+    int reads = 0;
+    std::function<void()> read = [&] {
+      ++reads;
+      EXPECT_EQ(fields(t.fwd->stats()), fields(ref.stats))
+          << "seed " << seed << " at " << s.now();
+      if (sends_left > 0) s.after(static_cast<time_ns>(rnd(8)) * grid, read);
+    };
+    s.at(0, send);
+    s.at(0, read);
+    s.run();
+
+    EXPECT_EQ(sink.log, ref.log) << "seed " << seed;
+    EXPECT_EQ(fields(t.fwd->stats()), fields(ref.stats)) << "seed " << seed;
+    // The traffic queued, dropped and tied sends with serialization ends.
+    const std::set<time_ns> ends(ref.ends.begin(), ref.ends.end());
+    const auto ties = std::count_if(send_times.begin(), send_times.end(),
+                                    [&](time_ns x) { return ends.count(x); });
+    EXPECT_GT(ties, 300) << "seed " << seed;
+    EXPECT_GT(ref.stats.dropped, 0u) << "seed " << seed;
+    EXPECT_GT(ref.stats.delivered, 2000u) << "seed " << seed;
+    EXPECT_GT(reads, 1000) << "seed " << seed;
+  }
+}
+
+TEST(link, sparse_traffic_costs_about_one_event_per_hop) {
+  // 1 ms serializations every 5 ms on a 20 ms wire: each packet starts on an
+  // idle line while the one before it is still in flight, so its
+  // serialization end is silent and only its delivery fires.
+  scheduler s;
+  link_config cfg;
+  cfg.bps = 1e6;
+  cfg.delay = milliseconds(20);
+  two_hosts t(s, cfg);
+  capture_agent sink(t.net, t.b);
+  constexpr int n = 1000;
+  for (int i = 0; i < n; ++i) {
+    s.at(milliseconds(5) * i, [&] { t.fwd->transmit(make_packet(125, t.b)); });
+  }
+  s.run();
+  ASSERT_EQ(sink.packets.size(), static_cast<std::size_t>(n));
+  EXPECT_EQ(t.fwd->stats().delivered, static_cast<std::uint64_t>(n));
+  // n sends, n deliveries, and the first packet's serialization end, which
+  // arms the delivery timer.
+  EXPECT_EQ(s.executed_events(), static_cast<std::uint64_t>(2 * n + 1));
 }
 
 TEST(link, rejects_invalid_config) {

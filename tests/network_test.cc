@@ -21,6 +21,13 @@ TEST(network, unicast_routes_through_line) {
   EXPECT_EQ(sink.packets.front().src, t.h1);
 }
 
+TEST(network, rejects_a_link_from_a_node_to_itself) {
+  scheduler s;
+  network net(s);
+  const node_id r = net.add_router("r");
+  EXPECT_THROW(net.connect(r, r, link_config{}), util::invariant_error);
+}
+
 TEST(network, unicast_reverse_direction) {
   scheduler s;
   line_topology t(s);

@@ -289,6 +289,95 @@ TEST(scheduler, cascading_chain_terminates_at_horizon) {
   EXPECT_EQ(count, 10);  // t = 0, 10, ..., 90
 }
 
+// --- reserved ranks ----------------------------------------------------------
+
+TEST(scheduler, ticket_queued_late_fires_at_its_reserved_rank) {
+  // Tickets at t = 10, queued from an earlier instant (a) and from an event
+  // at t = 10 itself (c): each fires exactly where an at() call made at
+  // reserve time would have, between the plain events reserved around it.
+  scheduler s;
+  std::vector<int> order;
+  scheduler::ticket a{};
+  scheduler::ticket b{};
+  scheduler::ticket c{};
+  s.at(10, [&] {
+    order.push_back(1);
+    s.queue(c, [&] { order.push_back(3); });
+  });
+  a = s.reserve_at(10);
+  c = s.reserve_at(10);
+  b = s.reserve_at(10);
+  s.at(10, [&] {
+    order.push_back(4);
+    // b ranks before this event, so it would already have fired.
+    EXPECT_TRUE(s.passed(b));
+    EXPECT_THROW(s.queue(b, [] {}), util::invariant_error);
+  });
+  s.at(5, [&] {
+    order.push_back(0);
+    s.queue(a, [&] { order.push_back(2); });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(s.executed_events(), 5u);
+}
+
+TEST(scheduler, queueing_a_passed_ticket_throws) {
+  scheduler s;
+  const scheduler::ticket t = s.reserve_at(10);
+  s.run_until(10);
+  EXPECT_THROW(s.queue(t, [] {}), util::invariant_error);
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
+TEST(scheduler, passed_splits_one_instant_by_seq) {
+  scheduler s;
+  const scheduler::ticket before = s.reserve_at(10);
+  const scheduler::ticket own = s.reserve_at(10);
+  const scheduler::ticket after = s.reserve_at(10);
+  const scheduler::ticket later = s.reserve_at(20);
+  std::vector<bool> seen;
+  s.queue(own, [&] {
+    // Inside the event at `own`'s rank: only the earlier seq has passed.
+    seen = {s.passed(before), s.passed(own), s.passed(after),
+            s.passed(later)};
+  });
+  EXPECT_FALSE(s.passed(before));  // before the rank
+  s.run_until(9);
+  EXPECT_FALSE(s.passed(before));
+  s.run_until(10);
+  EXPECT_EQ(seen, (std::vector<bool>{true, false, false, false}));
+  // Between events, after run_until(10): every rank at 10 reserved so far
+  // has passed, but one reserved now would still fire at 10.
+  EXPECT_TRUE(s.passed(before));
+  EXPECT_TRUE(s.passed(own));
+  EXPECT_TRUE(s.passed(after));
+  EXPECT_FALSE(s.passed(later));
+  const scheduler::ticket now = s.reserve_at(10);
+  EXPECT_FALSE(s.passed(now));
+  bool fired = false;
+  s.queue(now, [&] { fired = true; });
+  s.run_until(10);
+  EXPECT_TRUE(fired);
+  EXPECT_TRUE(s.passed(now));
+  s.run_until(20);
+  EXPECT_TRUE(s.passed(later));  // after the rank
+}
+
+TEST(scheduler, unqueued_ticket_never_fires_and_is_not_counted) {
+  scheduler s;
+  int fired = 0;
+  (void)s.reserve_at(5);
+  s.at(5, [&] { ++fired; });
+  (void)s.reserve_at(7);
+  s.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(s.executed_events(), 1u);
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_EQ(s.max_pending_events(), 1u);
+  EXPECT_EQ(s.now(), 5);
+}
+
 // --- in-place invocation ----------------------------------------------------
 // A callable is built in its slab slot, runs there and is destroyed there;
 // the slot returns to the free list only after the call.
