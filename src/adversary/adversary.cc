@@ -334,14 +334,7 @@ class churn_sigma_strategy : public core::honest_sigma_strategy {
     if (first_slot_ < 0) first_slot_ = s.slot;
     const bool up = (s.slot - first_slot_) / period_ % 2 == 0;
     if (up) return honest_action(r, s);
-    if (r.level() > 1) {
-      std::vector<sim::group_addr> dropped;
-      for (int g = 2; g <= r.level(); ++g) {
-        dropped.push_back(r.config().group(g));
-      }
-      send_unsubscribe(dropped);
-      r.set_local_level(1);
-    }
+    if (r.level() > 1) set_level(r, 1);
     return r.level();
   }
 
@@ -367,11 +360,7 @@ class deaf_sigma_strategy : public core::honest_sigma_strategy {
     // Reconstruct relative to the prefix actually delivered (the router's
     // grant), like every strategy must for the provable prefix not to
     // shrink each slot.
-    int achieved = 0;
-    for (int g = 1; g <= cfg.num_groups; ++g) {
-      if (s.groups[static_cast<std::size_t>(g)].received == 0) break;
-      achieved = g;
-    }
+    const int achieved = s.granted();
     if (achieved == 0) {
       // Cut off. Even a deaf client wants back in; it just never backs off.
       ++stats_.cutoff_slots;
@@ -381,22 +370,8 @@ class deaf_sigma_strategy : public core::honest_sigma_strategy {
       }
       return r.level();
     }
-    flid::slot_summary eff = s;
-    eff.level = achieved;
-    eff.congested = false;
-    for (int g = 1; g <= achieved; ++g) {
-      if (!eff.groups[static_cast<std::size_t>(g)].complete()) {
-        eff.congested = true;
-        break;
-      }
-    }
-    const core::delta_reconstruction rec = delta_->reconstruct(eff);
-    on_keys_reconstructed(s.slot + core::key_lead_slots, rec.keys);
-    std::vector<std::pair<sim::group_addr, crypto::group_key>> pairs;
-    pairs.reserve(rec.keys.size());
-    for (const auto& [g, key] : rec.keys) {
-      pairs.emplace_back(cfg.group(g), maybe_perturb(key));
-    }
+    core::key_pairs pairs;
+    const core::delta_reconstruction rec = prove(s.at_level(achieved), pairs);
     send_subscribe(s.slot + core::key_lead_slots, pairs);
 
     // Climb when entitled, never descend, never unsubscribe.
@@ -434,10 +409,9 @@ class collusion_sigma_strategy : public core::misbehaving_sigma_strategy {
     }
   }
 
-  bool sidechannel_keys(
-      int group, std::int64_t subscribe_slot, const flid::flid_config& cfg,
-      std::vector<std::pair<sim::group_addr, crypto::group_key>>& pairs)
-      override {
+  bool sidechannel_keys(int group, std::int64_t subscribe_slot,
+                        const flid::flid_config& cfg,
+                        core::key_pairs& pairs) override {
     const crypto::group_key* key =
         pool_->lookup(subscribe_slot, group, scope());
     if (key == nullptr) return false;
@@ -558,12 +532,7 @@ class adaptive_churn_sigma_strategy : public core::honest_sigma_strategy {
       // Entering attack mode: shed everything above the minimal group and
       // stop proving keys — from here only keyless admission is used.
       attacking_ = true;
-      if (r.level() > 1) {
-        std::vector<sim::group_addr> dropped;
-        for (int g = 2; g <= r.level(); ++g) dropped.push_back(cfg.group(g));
-        send_unsubscribe(dropped);
-        r.set_local_level(1);
-      }
+      if (r.level() > 1) set_level(r, 1);
       grace_slots_ = 0;
     }
     if (fb.granted > 0) {
@@ -620,7 +589,7 @@ class adaptive_churn_sigma_strategy : public core::honest_sigma_strategy {
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<flid::subscription_strategy> make_strategy(
-    protocol proto, const profile& p, const build_context& ctx) {
+    flid::protocol proto, const profile& p, const build_context& ctx) {
   // The seed source is consulted only for strategies that consume
   // randomness, and exactly once each — the call order defines the world's
   // seed chain, so ported scenarios keep their historical streams.
@@ -629,7 +598,7 @@ std::unique_ptr<flid::subscription_strategy> make_strategy(
                   "adversary::make_strategy: seed source required");
     return ctx.next_seed();
   };
-  if (proto == protocol::plain) {
+  if (proto == flid::protocol::plain) {
     switch (p.kind) {
       case strategy_kind::honest:
         return std::make_unique<flid::honest_plain_strategy>();

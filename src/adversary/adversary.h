@@ -7,11 +7,11 @@
 // parameters — and compiled into a concrete flid::subscription_strategy by
 // make_strategy() for either protocol world:
 //
-//   * protocol::plain — raw IGMP membership (FLID-DL, the unprotected world
-//     of paper Figure 1): the router honours any join.
-//   * protocol::sigma — key-based access control (FLID-DS, Figures 6/7):
-//     every claimed layer needs a DELTA-reconstructible key, so the attack
-//     surface is the key machinery itself.
+//   * flid::protocol::plain — raw IGMP membership (FLID-DL, the
+//     unprotected world of paper Figure 1): the router honours any join.
+//   * flid::protocol::sigma — key-based access control (FLID-DS, Figures
+//     6/7): every claimed layer needs a DELTA-reconstructible key, so the
+//     attack surface is the key machinery itself.
 //
 // Five attack strategies ship (plus honest):
 //
@@ -89,9 +89,6 @@
 #include "sim/time.h"
 
 namespace mcc::adversary {
-
-/// Which protocol world the strategy drives (see file comment).
-enum class protocol { plain, sigma };
 
 /// The attack taxonomy. `honest` is a first-class member so a profile can
 /// express "no attack" and factories need no special case.
@@ -235,7 +232,7 @@ struct build_context {
 /// inflate_once compiles to flid::inflating_plain_strategy /
 /// core::misbehaving_sigma_strategy.
 [[nodiscard]] std::unique_ptr<flid::subscription_strategy> make_strategy(
-    protocol proto, const profile& p, const build_context& ctx);
+    flid::protocol proto, const profile& p, const build_context& ctx);
 
 }  // namespace mcc::adversary
 

@@ -94,9 +94,8 @@ void honest_sigma_strategy::arm_retransmit(std::uint64_t msg_id) {
       });
 }
 
-void honest_sigma_strategy::send_subscribe(
-    std::int64_t slot,
-    const std::vector<std::pair<sim::group_addr, crypto::group_key>>& pairs) {
+void honest_sigma_strategy::send_subscribe(std::int64_t slot,
+                                           const key_pairs& pairs) {
   if (pairs.empty()) return;
   ++stats_.subscribes;
   sim::sigma_subscribe msg;
@@ -153,10 +152,7 @@ slot_feedback honest_sigma_strategy::observe_slot(flid::flid_receiver& r,
   fb.slot = s.slot;
   fb.now = net_->sched().now();
   fb.claimed = r.level();
-  for (int g = 1; g <= r.config().num_groups; ++g) {
-    if (s.groups[static_cast<std::size_t>(g)].received == 0) break;
-    fb.granted = g;
-  }
+  fb.granted = s.granted();
   if (trace_ != nullptr) {
     trace_->record(fb.now, obs::trace_event::slot_feedback, trace_track_,
                    static_cast<std::uint64_t>(fb.claimed),
@@ -189,11 +185,30 @@ bool honest_sigma_strategy::empty_slot(const flid::flid_receiver& r,
   return true;
 }
 
+delta_reconstruction honest_sigma_strategy::prove(
+    const flid::slot_summary& eff, key_pairs& pairs) {
+  delta_reconstruction rec = delta_->reconstruct(eff);
+  on_keys_reconstructed(eff.slot + key_lead_slots, rec.keys);
+  pairs.reserve(pairs.size() + rec.keys.size());
+  for (const auto& [g, key] : rec.keys) {
+    pairs.emplace_back(receiver_->config().group(g), maybe_perturb(key));
+  }
+  return rec;
+}
+
+void honest_sigma_strategy::set_level(flid::flid_receiver& r, int n) {
+  if (n < r.level()) {
+    std::vector<sim::group_addr> dropped;
+    for (int g = n + 1; g <= r.level(); ++g) {
+      dropped.push_back(r.config().group(g));
+    }
+    send_unsubscribe(dropped);
+  }
+  r.set_local_level(n);
+}
+
 int honest_sigma_strategy::honest_action(flid::flid_receiver& r,
                                          const flid::slot_summary& s) {
-  const flid::flid_config& cfg = r.config();
-  const sim::time_ns t = cfg.slot_duration;
-
   if (empty_slot(r, s)) return r.level();
   if (s.level == 0) return r.level();  // partial first slot after a join
 
@@ -202,42 +217,29 @@ int honest_sigma_strategy::honest_action(flid::flid_receiver& r,
   // branch broke): without their packets no key for them can ever be proved
   // again, so fold the subscription down to the groups actually flowing and
   // reconstruct relative to that level.
-  flid::slot_summary eff = s;
-  int effective = 0;
-  for (int g = 1; g <= s.level; ++g) {
-    if (s.groups[static_cast<std::size_t>(g)].received == 0) break;
-    effective = g;
-  }
+  const int effective = std::min(s.granted(), s.level);
+  flid::slot_summary folded;
   if (effective < s.level) {
-    eff.level = effective;
-    eff.congested = false;
-    for (int g = 1; g <= effective; ++g) {
-      if (!eff.groups[static_cast<std::size_t>(g)].complete()) {
-        eff.congested = true;
-        break;
-      }
-    }
+    folded = s.at_level(effective);
     r.set_local_level(effective);
   }
+  const flid::slot_summary& eff = effective < s.level ? folded : s;
 
-  const delta_reconstruction rec = delta_->reconstruct(eff);
-  on_keys_reconstructed(s.slot + key_lead_slots, rec.keys);
+  key_pairs pairs;
+  const delta_reconstruction rec = prove(eff, pairs);
   if (rec.next_level == 0) {
     // Congested at the minimal level: no reconstructible keys, so the
     // current authorization lapses after slot s+1. Request keyless
     // re-admission right away; the grace window bridges the gap, and the
     // next loss-free slot proves a fresh key (section 3.2.2).
     ++stats_.cutoffs;
-    if (net_->sched().now() - last_session_join_ >= t) send_session_join();
+    if (net_->sched().now() - last_session_join_ >= r.config().slot_duration) {
+      send_session_join();
+    }
     return r.level();  // keep wanting the minimal level locally
   }
 
   // Submit the address-key pairs for slot s+2.
-  std::vector<std::pair<sim::group_addr, crypto::group_key>> pairs;
-  pairs.reserve(rec.keys.size());
-  for (const auto& [g, key] : rec.keys) {
-    pairs.emplace_back(cfg.group(g), maybe_perturb(key));
-  }
   send_subscribe(s.slot + key_lead_slots, pairs);
 
   // A group joined mid-slot has not completed a full slot yet, so the
@@ -251,14 +253,7 @@ int honest_sigma_strategy::honest_action(flid::flid_receiver& r,
 
   // Explicitly leave dropped groups for fast congestion relief (the paper's
   // unsubscription message exists exactly "to leave groups even quicker").
-  if (target < r.level()) {
-    std::vector<sim::group_addr> dropped;
-    for (int g = target + 1; g <= r.level(); ++g) {
-      dropped.push_back(cfg.group(g));
-    }
-    send_unsubscribe(dropped);
-  }
-  r.set_local_level(target);
+  set_level(r, target);
   return target;
 }
 
@@ -307,12 +302,7 @@ int misbehaving_sigma_strategy::attack_action(flid::flid_receiver& r,
   // Best self-benefical play: reconstruct keys relative to what was actually
   // received (the router-granted subscription), not the claimed level —
   // otherwise the provable prefix shrinks every slot.
-  flid::slot_summary eff = s;
-  int achieved = 0;
-  for (int g = 1; g <= n; ++g) {
-    if (eff.groups[static_cast<std::size_t>(g)].received == 0) break;
-    achieved = g;
-  }
+  const int achieved = s.granted();
   if (achieved == 0) {
     // Fully cut off: keep hammering session-join (rate limited by router
     // blocking) and guessing.
@@ -321,28 +311,17 @@ int misbehaving_sigma_strategy::attack_action(flid::flid_receiver& r,
       send_session_join();
     }
   }
-  eff.level = achieved;
-  eff.congested = false;
-  for (int g = 1; g <= achieved; ++g) {
-    if (!eff.groups[static_cast<std::size_t>(g)].complete()) {
-      eff.congested = true;
-      break;
-    }
-  }
 
-  std::vector<std::pair<sim::group_addr, crypto::group_key>> pairs;
+  // Like the honest path, entitled keys carry the interface perturbation
+  // when the countermeasure is on — an attacker plays the protocol
+  // correctly for layers it has actually earned.
+  key_pairs pairs;
   int proven = 0;
   if (achieved > 0) {
-    const delta_reconstruction rec = delta_->reconstruct(eff);
-    on_keys_reconstructed(s.slot + key_lead_slots, rec.keys);
+    const delta_reconstruction rec = prove(s.at_level(achieved), pairs);
     proven = rec.next_level;
-    for (const auto& [g, key] : rec.keys) {
-      // Like the honest path, entitled keys must carry the interface
-      // perturbation when the countermeasure is on — an attacker plays the
-      // protocol correctly for layers it has actually earned.
-      pairs.emplace_back(cfg.group(g), maybe_perturb(key));
-      stale_keys_[g] = key;  // remember for replay (raw; perturbed on use)
-    }
+    // Remember for replay (raw; perturbed on use).
+    for (const auto& [g, key] : rec.keys) stale_keys_[g] = key;
     if (proven == 0 &&
         net_->sched().now() - last_session_join_ >= cfg.slot_duration) {
       // Congested even at the minimal level: ride keyless re-admission like

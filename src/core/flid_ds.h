@@ -39,6 +39,9 @@ struct flid_ds_sender {
     sim::network& net, sim::node_id sender_host, flid::flid_sender& sender,
     std::uint64_t seed, const sigma_emitter_config& emitter_cfg = {});
 
+/// Address-key pairs of one subscription message (Figure 6(b)).
+using key_pairs = std::vector<std::pair<sim::group_addr, crypto::group_key>>;
+
 /// Closed-loop feedback record computed once per evaluated slot: what the
 /// receiver claimed going into the slot versus what the network actually
 /// granted. Honest strategies ignore it; measurement-driven (adaptive)
@@ -116,11 +119,17 @@ class honest_sigma_strategy : public flid::subscription_strategy,
     (void)subscribe_slot;
     (void)keys;
   }
-  void send_subscribe(
-      std::int64_t slot,
-      const std::vector<std::pair<sim::group_addr, crypto::group_key>>& pairs);
+  void send_subscribe(std::int64_t slot, const key_pairs& pairs);
   void send_unsubscribe(const std::vector<sim::group_addr>& groups);
   void send_session_join();
+  /// Proves what the edge granted: reconstructs the keys `eff` earns
+  /// (Figure 4), reports them to on_keys_reconstructed, and appends their
+  /// address-key pairs for slot eff.slot + key_lead_slots to `pairs`,
+  /// perturbed under interface keying.
+  delta_reconstruction prove(const flid::slot_summary& eff, key_pairs& pairs);
+  /// Moves the local level to `n`, unsubscribing first from the groups above
+  /// `n` it drops.
+  void set_level(flid::flid_receiver& r, int n);
   /// The honest per-slot action; returns the new level.
   int honest_action(flid::flid_receiver& r, const flid::slot_summary& s);
   /// The empty-slot step every honest action starts with: when nothing at
@@ -194,9 +203,9 @@ class misbehaving_sigma_strategy : public honest_sigma_strategy {
   /// Out-of-band keys for a group beyond the provable prefix (the collusion
   /// pool). Appending a pair and returning true suppresses replay/guessing
   /// for that group; the default has no side channel.
-  virtual bool sidechannel_keys(
-      int group, std::int64_t subscribe_slot, const flid::flid_config& cfg,
-      std::vector<std::pair<sim::group_addr, crypto::group_key>>& pairs) {
+  virtual bool sidechannel_keys(int group, std::int64_t subscribe_slot,
+                                const flid::flid_config& cfg,
+                                key_pairs& pairs) {
     (void)group;
     (void)subscribe_slot;
     (void)cfg;

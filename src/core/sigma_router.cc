@@ -36,16 +36,30 @@ sigma_router_agent::sigma_router_agent(sim::network& net, sim::node_id router,
   trace_ = obs::current_trace();
 }
 
+sigma_router_agent::session_state* sigma_router_agent::session(int id) {
+  if (auto it = sessions_.find(id); it != sessions_.end()) return &it->second;
+  const sim::session_announcement* ann = net_.find_session(id);
+  if (ann == nullptr || ann->slot_duration <= 0) return nullptr;
+  session_state& sess = sessions_[id];
+  sess.slot_duration = ann->slot_duration;
+  return &sess;
+}
+
+sigma_router_agent::iface_state& sigma_router_agent::port(sim::link* iface) {
+  const std::size_t p = iface->port();
+  if (p >= ports_.size()) ports_.resize(p + 1);
+  return ports_[p];
+}
+
 void sigma_router_agent::trace(obs::trace_event kind, sim::link* iface,
                                std::uint64_t a, std::uint64_t b) {
   if (trace_ == nullptr) return;
-  auto it = trace_tracks_.find(iface);
-  if (it == trace_tracks_.end()) {
-    const std::uint32_t id = trace_->track(
-        "sigma:" + net_.get(router_)->name() + ":" + iface->to()->name());
-    it = trace_tracks_.emplace(iface, id).first;
+  std::optional<std::uint32_t>& track = port(iface).track;
+  if (!track) {
+    track = trace_->track("sigma:" + net_.get(router_)->name() + ":" +
+                          iface->to()->name());
   }
-  trace_->record(net_.sched().now(), kind, it->second, a, b);
+  trace_->record(net_.sched().now(), kind, *track, a, b);
 }
 
 bool sigma_router_agent::handle_packet(const sim::packet& p,
@@ -87,9 +101,22 @@ bool sigma_router_agent::handle_packet(const sim::packet& p,
 // ---------------------------------------------------------------------------
 
 void sigma_router_agent::on_ctrl(const sim::sigma_ctrl& hdr) {
+  // Even on the reverse path a shard is checked against the session's
+  // announced slot clock: a shard for a session never announced, with
+  // another slot length, or for a slot more than the key history away from
+  // the clock is refused, so no shard moves the session's window off it.
+  session_state* known = session(hdr.session_id);
+  const auto off_clock = [&](std::int64_t slot) {
+    const std::int64_t clock = net_.sched().now() / known->slot_duration;
+    return slot < clock - key_history_slots || slot > clock + key_history_slots;
+  };
+  if (known == nullptr || hdr.slot_duration != known->slot_duration ||
+      off_clock(hdr.emitted_slot) || off_clock(hdr.target_slot)) {
+    ++stats_.ctrl_refused;
+    return;
+  }
   ++stats_.ctrl_shards;
-  session_state& sess = sessions_[hdr.session_id];
-  sess.slot_duration = hdr.slot_duration;
+  session_state& sess = *known;
   sess.max_seen_slot = std::max(sess.max_seen_slot, hdr.emitted_slot);
 
   // A shard for a slot already out of the key history can never be used.
@@ -101,12 +128,12 @@ void sigma_router_agent::on_ctrl(const sim::sigma_ctrl& hdr) {
   buf.received.push_back(
       crypto::indexed_shard{hdr.shard_index, hdr.shard_bytes});
   if (static_cast<int>(buf.received.size()) >= hdr.data_shards) {
-    try_decode(hdr.session_id, hdr.target_slot);
+    try_decode(sess, hdr.target_slot);
   }
 }
 
-void sigma_router_agent::try_decode(int session_id, std::int64_t target_slot) {
-  session_state& sess = sessions_[session_id];
+void sigma_router_agent::try_decode(session_state& sess,
+                                    std::int64_t target_slot) {
   slot_state& state = *sess.slots.find(target_slot);
   shard_buffer& buf = state.shards;
   if (buf.decoded || buf.received.empty()) return;
@@ -144,7 +171,7 @@ void sigma_router_agent::try_decode(int session_id, std::int64_t target_slot) {
         tuple_for(state.keys, sim::group_addr{sub.group_value});
     if (t != nullptr && tuple_matches(*t, sub.key, sub.iface)) {
       ++stats_.valid_keys;
-      grant(session_id, sub.iface, sub.group_value, target_slot);
+      grant(sub.iface, sub.group_value, target_slot);
     } else {
       ++stats_.invalid_keys;
       tally_guess(sub.iface, target_slot);
@@ -184,13 +211,11 @@ void sigma_router_agent::on_subscribe(const sim::sigma_subscribe& msg,
   // in flight) is parked and re-validated on decode — but only for a known
   // session and a slot within the key history of the newest slot seen: any
   // other key can never validate, and must not hold state.
-  const bool known = sessions_.contains(msg.session_id) ||
-                     net_.find_session(msg.session_id) != nullptr;
-  session_state* sess = known ? &sessions_[msg.session_id] : nullptr;
-  const bool parkable = known && msg.slot >= sess->max_seen_slot &&
+  session_state* sess = session(msg.session_id);
+  const bool parkable = sess != nullptr && msg.slot >= sess->max_seen_slot &&
                         msg.slot >= sess->slots.floor() &&
                         msg.slot <= sess->max_seen_slot + key_history_slots;
-  slot_state* state = known ? sess->slots.find(msg.slot) : nullptr;
+  slot_state* state = sess != nullptr ? sess->slots.find(msg.slot) : nullptr;
   for (const auto& [group, key] : msg.pairs) {
     const crypto::group_key submitted = key;
     const key_tuple* tuple =
@@ -208,7 +233,7 @@ void sigma_router_agent::on_subscribe(const sim::sigma_subscribe& msg,
     }
     if (tuple_matches(*tuple, submitted, iface)) {
       ++stats_.valid_keys;
-      grant(msg.session_id, iface, group.value, msg.slot);
+      grant(iface, group.value, msg.slot);
     } else {
       ++stats_.invalid_keys;
       tally_guess(iface, msg.slot);
@@ -223,12 +248,12 @@ void sigma_router_agent::on_subscribe(const sim::sigma_subscribe& msg,
   net_.get(router_)->send(std::move(ack));
 }
 
-void sigma_router_agent::grant(int, sim::link* iface, int group_value,
+void sigma_router_agent::grant(sim::link* iface, int group_value,
                                std::int64_t slot) {
-  iface_group_state& st = ifaces_[iface][group_value];
+  group_state& st = port(iface).groups[sim::group_addr{group_value}];
   if (probation_memory_slots_ > 0) {
     const sim::time_ns now = net_.sched().now();
-    const probation_memory_record* debt = recall_debt(iface, group_value);
+    const probation_memory_record* debt = st.owed(now);
     const bool live_block = st.blocked_until >= 0 && now < st.blocked_until;
     const bool remembered_block = debt != nullptr && debt->blocked_until >= 0 &&
                                   now < debt->blocked_until;
@@ -241,7 +266,7 @@ void sigma_router_agent::grant(int, sim::link* iface, int group_value,
     }
     // A valid key pays all outstanding debt and resets the escalation ladder.
     st.keyless_rejoins = 0;
-    forget_debt(iface, group_value);
+    st.debt = {};
   }
   if (st.probation) {
     // A valid key arrived inside the keyless grace window: the window closes
@@ -262,7 +287,7 @@ void sigma_router_agent::grant(int, sim::link* iface, int group_value,
 }
 
 void sigma_router_agent::ungraft(int group_value, sim::link* iface,
-                                 iface_group_state& st) {
+                                 group_state& st) {
   if (st.grafted) {
     tree_.leave(sim::group_addr{group_value}, iface);
     st.grafted = false;
@@ -276,82 +301,48 @@ void sigma_router_agent::on_unsubscribe(const sim::sigma_unsubscribe& msg,
   ++stats_.unsubscribes;
   trace(obs::trace_event::unsubscribe, iface,
         static_cast<std::uint64_t>(msg.session_id), msg.groups.size());
+  // The adaptive_churn loophole lived here: wiping the state wiped the
+  // pending probation and blocked_until debt with it. Under probation memory
+  // the debt outlives the wipe, timed by the session's slot clock.
+  const session_state* sess =
+      probation_memory_slots_ > 0 ? session(msg.session_id) : nullptr;
+  iface_state& ifc = port(iface);
   for (sim::group_addr g : msg.groups) {
-    auto by_iface = ifaces_.find(iface);
-    if (by_iface == ifaces_.end()) continue;
-    auto st = by_iface->second.find(g.value);
-    if (st == by_iface->second.end()) continue;
-    // The adaptive_churn loophole lived here: erasing the state wiped the
-    // pending probation and blocked_until debt with it. Under probation
-    // memory the debt outlives the wipe.
-    if (probation_memory_slots_ > 0) {
-      remember_debt(iface, g.value, st->second, msg.session_id);
-    }
-    ungraft(g.value, iface, st->second);
-    by_iface->second.erase(st);
+    group_state* st = ifc.groups.find(g);
+    if (st == nullptr) continue;
+    if (sess != nullptr) remember_debt(iface, g.value, *st, *sess);
+    ungraft(g.value, iface, *st);
+    *st = group_state{.debt = st->debt};
   }
 }
 
 void sigma_router_agent::remember_debt(sim::link* iface, int group_value,
-                                       const iface_group_state& st,
-                                       int session_id) {
+                                       group_state& st,
+                                       const session_state& sess) {
   const sim::time_ns now = net_.sched().now();
   const bool blocked = st.blocked_until >= 0 && now < st.blocked_until;
   // Debt = a grace window that has not ended in probation yet, an unserved
   // cutoff, or an escalation ladder position a churner could otherwise
   // launder by unsubscribing. A receiver that proved a key has none.
   if (!st.probation && !blocked && st.keyless_rejoins == 0) return;
-  session_state& sess = sessions_[session_id];
-  if (sess.slot_duration == 0) {
-    if (const auto* ann = net_.find_session(session_id)) {
-      sess.slot_duration = ann->slot_duration;
-    }
-  }
-  if (sess.slot_duration == 0) return;  // unknown session: no window to index
-  probation_memory_record& rec = memory_[iface][group_value];
-  rec.blocked_until = blocked ? st.blocked_until : -1;
-  rec.keyless_rejoins = std::max(rec.keyless_rejoins, st.keyless_rejoins);
-  rec.expires_at = std::max(now, st.blocked_until) +
-                   probation_memory_slots_ * sess.slot_duration;
+  // A rejoin has already folded any earlier debt into `st`, so the new
+  // record replaces the old one.
+  st.debt = probation_memory_record{
+      .blocked_until = blocked ? st.blocked_until : -1,
+      .keyless_rejoins = st.keyless_rejoins,
+      .expires_at = std::max(now, st.blocked_until) +
+                    probation_memory_slots_ * sess.slot_duration};
   ++stats_.memory_records;
   trace(obs::trace_event::probation_record, iface,
         static_cast<std::uint64_t>(group_value),
-        static_cast<std::uint64_t>(rec.keyless_rejoins));
-}
-
-sigma_router_agent::probation_memory_record* sigma_router_agent::recall_debt(
-    sim::link* iface, int group_value) {
-  auto mi = memory_.find(iface);
-  if (mi == memory_.end()) return nullptr;
-  // Lazy GC: drop every expired record on this interface while we are here,
-  // so the table stays O(recently wiped debtor groups) per interface.
-  const sim::time_ns now = net_.sched().now();
-  for (auto it = mi->second.begin(); it != mi->second.end();) {
-    if (now >= it->second.expires_at) {
-      it = mi->second.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (mi->second.empty()) {
-    memory_.erase(mi);
-    return nullptr;
-  }
-  auto rec = mi->second.find(group_value);
-  return rec == mi->second.end() ? nullptr : &rec->second;
-}
-
-void sigma_router_agent::forget_debt(sim::link* iface, int group_value) {
-  auto mi = memory_.find(iface);
-  if (mi == memory_.end()) return;
-  mi->second.erase(group_value);
-  if (mi->second.empty()) memory_.erase(mi);
+        static_cast<std::uint64_t>(st.keyless_rejoins));
 }
 
 void sigma_router_agent::on_session_join(const sim::sigma_session_join& msg,
                                          sim::link* iface) {
   const sim::session_announcement* ann = net_.find_session(msg.session_id);
-  if (ann == nullptr || ann->groups.empty() ||
+  session_state* sess = session(msg.session_id);
+  if (sess == nullptr || ann->groups.empty() ||
       !(msg.minimal_group == ann->groups.front())) {
     // Unknown session, or the receiver lied about which group is minimal
     // (claiming a high-rate group would turn keyless admission into a
@@ -360,17 +351,17 @@ void sigma_router_agent::on_session_join(const sim::sigma_session_join& msg,
     return;
   }
   const int minimal = ann->groups.front().value;
-  iface_group_state& st = ifaces_[iface][minimal];
-  session_state& sess = sessions_[msg.session_id];
-  if (st.blocked_until >= 0 && net_.sched().now() < st.blocked_until) {
+  group_state& st = port(iface).groups[sim::group_addr{minimal}];
+  const sim::time_ns now = net_.sched().now();
+  if (st.blocked_until >= 0 && now < st.blocked_until) {
     // Still serving the >= 1 slot cutoff for failing to present a key.
     ++stats_.session_joins_refused;
     return;
   }
   bool inherited = false;
   if (probation_memory_slots_ > 0) {
-    if (const probation_memory_record* debt = recall_debt(iface, minimal)) {
-      if (debt->blocked_until >= 0 && net_.sched().now() < debt->blocked_until) {
+    if (const probation_memory_record* debt = st.owed(now)) {
+      if (debt->blocked_until >= 0 && now < debt->blocked_until) {
         // The wiped state still owed an unserved cutoff: still-blocked means
         // refused, unsubscribe or not.
         ++stats_.session_joins_refused;
@@ -383,7 +374,7 @@ void sigma_router_agent::on_session_join(const sim::sigma_session_join& msg,
       // Within the memory window: the rejoin inherits the debt instead of
       // starting over.
       st.keyless_rejoins = std::max(st.keyless_rejoins, debt->keyless_rejoins);
-      forget_debt(iface, minimal);
+      st.debt = {};
       ++stats_.memory_inherits;
       trace(obs::trace_event::probation_inherit, iface,
             static_cast<std::uint64_t>(minimal),
@@ -396,7 +387,7 @@ void sigma_router_agent::on_session_join(const sim::sigma_session_join& msg,
       return;
     }
   }
-  if (st.grafted && st.authorized_until > sess.max_seen_slot + 1) {
+  if (st.grafted && st.authorized_until > sess->max_seen_slot + 1) {
     return;  // already a member in good standing; nothing to do
   }
   // Fresh keyless admission (or re-admission after an authorization gap):
@@ -437,15 +428,15 @@ bool sigma_router_agent::allow(sim::packet& p, sim::link* oif) {
     return false;
   }
   const std::int64_t slot = p.tag->slot;
-  session_state& sess = sessions_[p.tag->session_id];
-  if (sess.slot_duration == 0) {
-    if (const auto* ann = net_.find_session(p.tag->session_id)) {
-      sess.slot_duration = ann->slot_duration;
-    }
+  session_state* sess = session(p.tag->session_id);
+  if (sess == nullptr) {
+    // A tag naming no announced session has no slot clock to enforce.
+    ++stats_.denied;
+    return false;
   }
-  sess.max_seen_slot = std::max(sess.max_seen_slot, slot);
+  sess->max_seen_slot = std::max(sess->max_seen_slot, slot);
 
-  iface_group_state& st = ifaces_[oif][group.value];
+  group_state& st = port(oif).groups[group];
   if (st.awaiting_first_packet) {
     // First packet of a newly added group: grace covers this slot and the
     // two complete slots after it — exactly the window until keys harvested
@@ -484,9 +475,9 @@ bool sigma_router_agent::allow(sim::packet& p, sim::link* oif) {
     // least one time slot (section 3.2.2) and prune the branch. Under
     // probation memory the cutoff escalates geometrically with every keyless
     // rejoin, so grace riding buys ever-shrinking duty cycles.
-    sim::time_ns cutoff = sess.slot_duration;
+    sim::time_ns cutoff = sess->slot_duration;
     if (probation_memory_slots_ > 0) {
-      cutoff = sess.slot_duration
+      cutoff = sess->slot_duration
                << std::min(st.keyless_rejoins, max_block_escalation);
       ++st.keyless_rejoins;
     }
@@ -511,16 +502,16 @@ bool sigma_router_agent::allow(sim::packet& p, sim::link* oif) {
 void sigma_router_agent::tally_guess(sim::link* iface, std::int64_t slot) {
   // Decay: buckets older than the key history of the newest guessed slot
   // fall off, so the tally reflects recent guessing pressure, not run length.
-  auto& by_slot = guess_tally_[iface];
+  sim::slot_window<std::uint64_t>& by_slot = port(iface).guess_tally;
   by_slot.drop_below(slot - key_history_slots);
   if (slot >= by_slot.floor()) ++by_slot[slot];
 }
 
 std::uint64_t sigma_router_agent::guess_tally(sim::link* iface) const {
-  auto it = guess_tally_.find(iface);
-  if (it == guess_tally_.end()) return 0;
+  if (iface->port() >= ports_.size()) return 0;
   std::uint64_t sum = 0;
-  it->second.for_each([&](std::int64_t, std::uint64_t n) { sum += n; });
+  ports_[iface->port()].guess_tally.for_each(
+      [&](std::int64_t, std::uint64_t n) { sum += n; });
   return sum;
 }
 

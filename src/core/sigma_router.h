@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "crypto/rs_code.h"
 #include "mcast/igmp.h"
 #include "obs/trace.h"
+#include "sim/group_table.h"
 #include "sim/network.h"
 #include "sim/slot_window.h"
 
@@ -67,7 +69,9 @@ class sigma_router_agent : public sim::agent, public sim::access_policy {
 
   struct counters {
     std::uint64_t ctrl_shards = 0;
-    std::uint64_t ctrl_refused = 0;  // shards off the reverse path, dropped
+    /// Shards dropped unread: off the reverse path, for a session never
+    /// announced, or out of bounds of its announced slot clock.
+    std::uint64_t ctrl_refused = 0;
     std::uint64_t blocks_decoded = 0;
     std::uint64_t subscribe_msgs = 0;
     std::uint64_t valid_keys = 0;
@@ -123,12 +127,22 @@ class sigma_router_agent : public sim::agent, public sim::access_policy {
   };
 
   struct session_state {
-    sim::time_ns slot_duration = 0;
+    sim::time_ns slot_duration = 0;  // from the announcement
     std::int64_t max_seen_slot = -1;
     sim::slot_window<slot_state> slots;  // by target slot
   };
 
-  struct iface_group_state {
+  /// Outstanding debt of a wiped interface×group, retained for
+  /// `probation_memory_slots_` slots past the point it would have been
+  /// served.
+  struct probation_memory_record {
+    sim::time_ns blocked_until = -1;  // cutoff the wipe tried to skip
+    int keyless_rejoins = 0;          // escalation ladder position
+    sim::time_ns expires_at = -1;     // the debt counts while now < this
+  };
+
+  /// What the router holds for one group on one interface.
+  struct group_state {
     std::int64_t authorized_until = -1;
     std::int64_t grace_through_slot = -1;
     bool awaiting_first_packet = false;
@@ -144,15 +158,26 @@ class sigma_router_agent : public sim::agent, public sim::access_policy {
     /// reset by a valid key.
     int keyless_rejoins = 0;
     bool grafted = false;
+    /// The debt the last unsubscribe left behind (probation memory only):
+    /// the only field an unsubscribe keeps. It is checked when read, never
+    /// swept.
+    probation_memory_record debt;
+
+    /// The remembered debt if it still counts at `now`, else nullptr.
+    [[nodiscard]] const probation_memory_record* owed(sim::time_ns now) const {
+      return now < debt.expires_at ? &debt : nullptr;
+    }
   };
 
-  /// Outstanding debt of a wiped interface×group, retained for
-  /// `probation_memory_slots_` slots past the point it would have been
-  /// served.
-  struct probation_memory_record {
-    sim::time_ns blocked_until = -1;  // cutoff the wipe tried to skip
-    int keyless_rejoins = 0;          // escalation ladder position
-    sim::time_ns expires_at = 0;      // lazy-GC deadline
+  /// What the router holds for one host-facing interface.
+  struct iface_state {
+    sim::group_map<group_state> groups;
+    /// Guessing-attack tally: invalid keys bucketed by slot, so stale
+    /// buckets decay out of the window instead of accumulating forever.
+    sim::slot_window<std::uint64_t> guess_tally;
+    /// Trace track ("sigma:<router>:<host>"), interned on the interface's
+    /// first trace event.
+    std::optional<std::uint32_t> track;
   };
 
   void on_ctrl(const sim::sigma_ctrl& hdr);
@@ -160,18 +185,18 @@ class sigma_router_agent : public sim::agent, public sim::access_policy {
                     sim::node_id from);
   void on_unsubscribe(const sim::sigma_unsubscribe& msg, sim::link* iface);
   void on_session_join(const sim::sigma_session_join& msg, sim::link* iface);
-  void try_decode(int session_id, std::int64_t target_slot);
-  void grant(int session_id, sim::link* iface, int group_value,
-             std::int64_t slot);
-  void ungraft(int group_value, sim::link* iface, iface_group_state& st);
-  /// Record the group's outstanding debt before the state is wiped (no-op
-  /// when there is none, or when probation memory is off).
-  void remember_debt(sim::link* iface, int group_value,
-                     const iface_group_state& st, int session_id);
-  /// Look up a remembered debt, lazily GCing expired records on the way.
-  [[nodiscard]] probation_memory_record* recall_debt(sim::link* iface,
-                                                     int group_value);
-  void forget_debt(sim::link* iface, int group_value);
+  void try_decode(session_state& sess, std::int64_t target_slot);
+  /// The state of announced session `id`, created from its announcement on
+  /// first use; nullptr for a session never announced.
+  [[nodiscard]] session_state* session(int id);
+  /// The state of `iface`, indexed by its port on this router.
+  [[nodiscard]] iface_state& port(sim::link* iface);
+  void grant(sim::link* iface, int group_value, std::int64_t slot);
+  void ungraft(int group_value, sim::link* iface, group_state& st);
+  /// Record the group's outstanding debt in `st.debt` before the rest of
+  /// `st` is wiped (no-op when there is none).
+  void remember_debt(sim::link* iface, int group_value, group_state& st,
+                     const session_state& sess);
   /// Count an invalid key against the interface's windowed guessing tally.
   void tally_guess(sim::link* iface, std::int64_t slot);
   /// Trace-sink append for one enforcement milestone on an interface's
@@ -192,17 +217,10 @@ class sigma_router_agent : public sim::agent, public sim::access_policy {
   bool interface_keying_ = false;
   int probation_memory_slots_ = 0;
   std::map<int, session_state> sessions_;
-  std::map<sim::link*, std::map<int, iface_group_state>> ifaces_;
-  // Wiped interface×group debts awaiting inheritance or expiry.
-  std::map<sim::link*, std::map<int, probation_memory_record>> memory_;
-  // Guessing-attack tallies: invalid keys per interface, bucketed by slot so
-  // stale buckets decay out of the window instead of accumulating forever.
-  std::map<sim::link*, sim::slot_window<std::uint64_t>> guess_tally_;
+  std::vector<iface_state> ports_;  // by sim::link::port()
   counters stats_;
-  /// Event-trace sink captured at construction; per-interface track ids are
-  /// interned lazily (interfaces appear as hosts attach).
+  /// Event-trace sink captured at construction.
   obs::trace_buffer* trace_ = nullptr;
-  std::map<sim::link*, std::uint32_t> trace_tracks_;
 };
 
 }  // namespace mcc::core

@@ -187,7 +187,7 @@ int tlm_sigma_strategy::on_slot(flid::flid_receiver& r,
   // Highest level with a reconstructible key. n_g (and so k_g) derives from
   // the advertised per-group packet counts; a group with no packets at all
   // caps reconstruction below it.
-  std::vector<std::pair<sim::group_addr, crypto::group_key>> pairs;
+  key_pairs pairs;
   int entitled = 0;
   std::int64_t n_cum = 0;
   for (int g = 1; g <= std::min(r.level() + 1, cfg.num_groups); ++g) {
@@ -232,12 +232,7 @@ int tlm_sigma_strategy::on_slot(flid::flid_receiver& r,
     target = entitled + 1;
   }
   send_subscribe(s.slot + key_lead_slots, pairs);
-  if (!pairs.empty() && target < r.level() && entitled < r.level()) {
-    std::vector<sim::group_addr> dropped;
-    for (int g = target + 1; g <= r.level(); ++g) dropped.push_back(cfg.group(g));
-    send_unsubscribe(dropped);
-  }
-  r.set_local_level(target);
+  set_level(r, target);
   return target;
 }
 

@@ -13,6 +13,11 @@ namespace {
 std::int64_t queue_bytes(double bps, double bdp, sim::time_ns rtt) {
   return static_cast<std::int64_t>(bdp * bps * sim::to_seconds(rtt) / 8.0);
 }
+
+/// The receiver-strategy world a session mode speaks.
+flid::protocol protocol_of(flid_mode mode) {
+  return mode == flid_mode::dl ? flid::protocol::plain : flid::protocol::sigma;
+}
 }  // namespace
 
 testbed::testbed(testbed_config cfg)
@@ -194,9 +199,6 @@ flid_session& testbed::add_flid_session(
     return coordinator(coalition);
   };
   actx.interface_keying = cfg_.interface_keying;
-  const adversary::protocol proto = mode == flid_mode::dl
-                                        ? adversary::protocol::plain
-                                        : adversary::protocol::sigma;
   int ridx = 0;
   for (const receiver_options& opt : receivers) {
     const std::string& site = site_or(opt.at, cfg_.receiver_site);
@@ -205,7 +207,7 @@ flid_session& testbed::add_flid_session(
         cfg_.access_bps, opt.access_delay.value_or(cfg_.access_delay));
     auto receiver = std::make_unique<flid::flid_receiver>(
         net_, rh, topo_.node(site), cfg,
-        adversary::make_strategy(proto, opt.attack, actx));
+        adversary::make_strategy(protocol_of(mode), opt.attack, actx));
     if (cm_ != nullptr) {
       // Register the session under the receiver's aggregated edge path and
       // wire the data plane before start() latches the receiver's state.
@@ -275,12 +277,10 @@ flid_population& testbed::add_population(flid_session& session,
   const sim::node_id host = attach_host(
       "mc_pop_" + std::to_string(sid) + "_" + std::to_string(pidx), site,
       cfg_.access_bps, opts.access_delay.value_or(cfg_.access_delay));
-  const population::protocol proto = session.mode == flid_mode::dl
-                                         ? population::protocol::plain
-                                         : population::protocol::sigma;
   pop->delegate = std::make_unique<flid::flid_receiver>(
       net_, host, topo_.node(site), session.config,
-      population::make_aggregate_strategy(proto, *pop->aggregate,
+      population::make_aggregate_strategy(protocol_of(session.mode),
+                                          *pop->aggregate,
                                           cfg_.interface_keying));
   if (cm_ != nullptr) {
     // The delegate speaks for the whole population, so the population's

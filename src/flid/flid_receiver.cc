@@ -4,6 +4,18 @@
 
 namespace mcc::flid {
 
+namespace {
+/// Congested at level n = a group in 1..n with missing or invalidated
+/// packets (FLID-DL / RLC define congestion as a single packet loss in the
+/// slot).
+bool incomplete_through(const std::vector<group_slot_record>& groups, int n) {
+  for (int g = 1; g <= n; ++g) {
+    if (!groups[static_cast<std::size_t>(g)].complete()) return true;
+  }
+  return false;
+}
+}  // namespace
+
 flid_receiver::flid_receiver(sim::network& net, sim::node_id host,
                              sim::node_id edge_router, const flid_config& cfg,
                              std::unique_ptr<subscription_strategy> strategy)
@@ -119,15 +131,24 @@ slot_summary flid_receiver::summarize(std::int64_t slot) {
   }
   s.level = lvl;
 
-  // Congested = any full-slot group with missing or invalidated packets
-  // (FLID-DL / RLC define congestion as a single packet loss in the slot).
-  for (int g = 1; g <= lvl; ++g) {
-    if (!s.groups[static_cast<std::size_t>(g)].complete()) {
-      s.congested = true;
-      break;
-    }
-  }
+  s.congested = incomplete_through(s.groups, lvl);
   return s;
+}
+
+int slot_summary::granted() const {
+  int g = 0;
+  while (g + 1 < static_cast<int>(groups.size()) &&
+         groups[static_cast<std::size_t>(g + 1)].received > 0) {
+    ++g;
+  }
+  return g;
+}
+
+slot_summary slot_summary::at_level(int n) const {
+  slot_summary out = *this;
+  out.level = n;
+  out.congested = incomplete_through(groups, n);
+  return out;
 }
 
 void flid_receiver::set_congestion_path(cm::congestion_manager* manager,

@@ -55,7 +55,18 @@ struct slot_summary {
   [[nodiscard]] bool upgrade_authorized(int g) const {
     return (auth_mask & (1u << g)) != 0;
   }
+  /// The groups that delivered packets this slot, counted from group 1 up
+  /// to the first silent one: the prefix the edge router granted (0 = cut
+  /// off, or group 1 withdrawn).
+  [[nodiscard]] int granted() const;
+  /// This slot as seen at level `n`: `level` = n and `congested` recomputed
+  /// over groups 1..n only.
+  [[nodiscard]] slot_summary at_level(int n) const;
 };
+
+/// Which protocol world a receiver strategy drives: raw IGMP membership
+/// (FLID-DL) or key-based SIGMA access (FLID-DS).
+enum class protocol { plain, sigma };
 
 class flid_receiver;
 

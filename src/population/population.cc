@@ -222,15 +222,6 @@ std::size_t edge_aggregate::state_bytes() const {
 
 namespace {
 
-int granted_prefix(const flid::flid_config& cfg, const flid::slot_summary& s) {
-  int granted = 0;
-  for (int g = 1; g <= cfg.num_groups; ++g) {
-    if (s.groups[static_cast<std::size_t>(g)].received == 0) break;
-    granted = g;
-  }
-  return granted;
-}
-
 class aggregate_plain_strategy : public flid::subscription_strategy {
  public:
   explicit aggregate_plain_strategy(edge_aggregate& agg) : agg_(agg) {}
@@ -242,8 +233,7 @@ class aggregate_plain_strategy : public flid::subscription_strategy {
   }
 
   int on_slot(flid::flid_receiver& r, const flid::slot_summary& s) override {
-    agg_.on_slot({s.slot, r.net().sched().now(),
-                  granted_prefix(r.config(), s), s.congested});
+    agg_.on_slot({s.slot, r.net().sched().now(), s.granted(), s.congested});
     const int cap = agg_.demand_cap();
     if (cap == 0) {
       // Population emptied: tear the whole subscription down.
@@ -287,14 +277,7 @@ class aggregate_sigma_strategy : public core::honest_sigma_strategy {
     agg_.on_slot({s.slot, fb.now, fb.granted, s.congested});
     const int cap = agg_.demand_cap();
     if (cap == 0) {
-      if (r.level() > 0) {
-        std::vector<sim::group_addr> gone;
-        for (int g = 1; g <= r.level(); ++g) {
-          gone.push_back(r.config().group(g));
-        }
-        send_unsubscribe(gone);
-        r.set_local_level(0);
-      }
+      set_level(r, 0);
       active_ = false;
       return 0;
     }
@@ -313,12 +296,7 @@ class aggregate_sigma_strategy : public core::honest_sigma_strategy {
     int target = honest_action(r, capped);
     if (target > cap) {
       // Churn lowered the demand below the level honest_action retained.
-      std::vector<sim::group_addr> dropped;
-      for (int g = cap + 1; g <= target; ++g) {
-        dropped.push_back(r.config().group(g));
-      }
-      send_unsubscribe(dropped);
-      r.set_local_level(cap);
+      set_level(r, cap);
       target = cap;
     }
     return target;
@@ -332,8 +310,8 @@ class aggregate_sigma_strategy : public core::honest_sigma_strategy {
 }  // namespace
 
 std::unique_ptr<flid::subscription_strategy> make_aggregate_strategy(
-    protocol proto, edge_aggregate& agg, bool interface_keying) {
-  if (proto == protocol::plain) {
+    flid::protocol proto, edge_aggregate& agg, bool interface_keying) {
+  if (proto == flid::protocol::plain) {
     return std::make_unique<aggregate_plain_strategy>(agg);
   }
   auto s = std::make_unique<aggregate_sigma_strategy>(agg);

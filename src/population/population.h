@@ -78,10 +78,6 @@ struct population_config {
   std::uint64_t seed = 1;
 };
 
-/// Protocol world the aggregate's delegate speaks (mirrors exp::flid_mode
-/// without depending on the exp layer).
-enum class protocol { plain, sigma };
-
 /// The aggregate itself: member state as a count-per-layer demand histogram,
 /// churn on the slot clock, and analytic per-member goodput accounting.
 /// Everything is O(num_groups) regardless of member count — state_bytes()
@@ -176,7 +172,7 @@ class edge_aggregate {
 /// num_groups the strategies are step-for-step identical to their honest
 /// counterparts — the conformance contract above.
 [[nodiscard]] std::unique_ptr<flid::subscription_strategy>
-make_aggregate_strategy(protocol proto, edge_aggregate& agg,
+make_aggregate_strategy(flid::protocol proto, edge_aggregate& agg,
                         bool interface_keying = false);
 
 }  // namespace mcc::population

@@ -24,6 +24,7 @@
 #ifndef MCC_SIM_LINK_H
 #define MCC_SIM_LINK_H
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -80,6 +81,10 @@ class link {
   [[nodiscard]] node* to() const { return to_; }
   [[nodiscard]] link* reverse() const { return reverse_; }
   void set_reverse(link* r) { reverse_ = r; }
+  /// This link's index among its source node's out-links, set by
+  /// network::connect; per-interface router state is indexed by it.
+  [[nodiscard]] std::size_t port() const { return port_; }
+  void set_port(std::size_t port) { port_ = port; }
 
   [[nodiscard]] const link_config& config() const { return cfg_; }
   [[nodiscard]] std::int64_t queued_bytes() const { return queued_bytes_; }
@@ -120,6 +125,7 @@ class link {
   node* from_;
   node* to_;
   link* reverse_ = nullptr;
+  std::size_t port_ = 0;
   link_config cfg_;
   std::unique_ptr<aqm_policy> aqm_;
   /// Waiting packets stamped with their arrival time (CoDel sojourn). While

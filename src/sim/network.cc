@@ -68,6 +68,8 @@ std::pair<link*, link*> network::connect(node_id a, node_id b,
   link* rev = links_.back().get();
   fwd->set_reverse(rev);
   rev->set_reverse(fwd);
+  fwd->set_port(na->out_links().size());
+  rev->set_port(nb->out_links().size());
   na->add_out_link(fwd);
   nb->add_out_link(rev);
   return {fwd, rev};

@@ -158,5 +158,34 @@ TEST(flid_ds, interface_keying_blocks_unperturbed_keys) {
   EXPECT_LT(s.receiver().level(), s.config.num_groups);
 }
 
+/// The honest strategy with its empty-slot step exposed.
+struct empty_slot_probe : honest_sigma_strategy {
+  using honest_sigma_strategy::empty_slot;
+};
+
+TEST(flid_ds, withdrawn_group_1_is_granted_nothing_but_is_not_an_empty_slot) {
+  // Group 1 silent while group 2 still delivers: the granted prefix is 0,
+  // yet packets arrived, so the honest step does not count a cut-off slot
+  // or rejoin.
+  sim::scheduler sched;
+  sim::network net(sched);
+  const auto router = net.add_router("r");
+  const auto host = net.add_host("h");
+  net.connect(router, host, sim::link_config{});
+  net.finalize_routing();
+  const flid::flid_config cfg;
+  auto probe = std::make_unique<empty_slot_probe>();
+  empty_slot_probe* strategy = probe.get();
+  flid::flid_receiver r(net, host, router, cfg, std::move(probe));
+
+  flid::slot_summary s;
+  s.level = 2;
+  s.groups.resize(static_cast<std::size_t>(cfg.num_groups) + 1);
+  s.groups[2].received = 3;
+  EXPECT_EQ(s.granted(), 0);
+  EXPECT_FALSE(strategy->empty_slot(r, s));
+  EXPECT_EQ(strategy->stats().cutoff_slots, 0u);
+}
+
 }  // namespace
 }  // namespace mcc::core

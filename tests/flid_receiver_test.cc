@@ -102,5 +102,47 @@ TEST(flid_receiver, counts_congested_slots) {
   EXPECT_GT(session.receiver().stats().slots_evaluated, 50u);
 }
 
+/// A slot summary of `n` groups in which every group got all its packets.
+slot_summary full_slot(int n, int level) {
+  slot_summary s;
+  s.slot = 7;
+  s.level = level;
+  s.auth_mask = 0b1000;
+  s.groups.resize(static_cast<std::size_t>(n) + 1);
+  for (int g = 1; g <= n; ++g) {
+    s.groups[static_cast<std::size_t>(g)].expected = 4;
+    s.groups[static_cast<std::size_t>(g)].received = 4;
+  }
+  return s;
+}
+
+TEST(slot_summary, granted_stops_at_the_first_silent_group) {
+  slot_summary s = full_slot(4, 4);
+  EXPECT_EQ(s.granted(), 4);
+  s.groups[3].received = 0;
+  EXPECT_EQ(s.granted(), 2);
+  // Group 1 withdrawn while group 2 still delivers: nothing was granted.
+  s.groups[1].received = 0;
+  EXPECT_EQ(s.granted(), 0);
+  EXPECT_EQ(slot_summary{}.granted(), 0);
+}
+
+TEST(slot_summary, at_level_recomputes_congestion_over_the_kept_groups) {
+  slot_summary s = full_slot(4, 3);
+  s.groups[3].received = 3;  // group 3 lost a packet
+  s.congested = true;
+  const slot_summary two = s.at_level(2);
+  EXPECT_EQ(two.level, 2);
+  EXPECT_FALSE(two.congested);
+  EXPECT_EQ(two.slot, s.slot);
+  EXPECT_EQ(two.auth_mask, s.auth_mask);
+  EXPECT_EQ(two.groups.size(), s.groups.size());
+  EXPECT_TRUE(s.at_level(3).congested);
+  EXPECT_FALSE(s.at_level(0).congested);
+  // A scrubbed component counts as loss too.
+  s.groups[1].scrubbed = true;
+  EXPECT_TRUE(s.at_level(1).congested);
+}
+
 }  // namespace
 }  // namespace mcc::flid

@@ -88,8 +88,18 @@ struct sigma_harness {
     return out;
   }
 
-  /// Delivers a control shard as it arrives from `src`, the session source.
+  /// Delivers a control shard as it arrives from `src`, the session source,
+  /// first advancing the clock to the start of the slot it was emitted in
+  /// (the router refuses shards off the session's slot clock).
   void feed(const sim::packet& p) {
+    const auto* hdr = sim::header_as<sim::sigma_ctrl>(p);
+    const sim::time_ns emitted = hdr->emitted_slot * hdr->slot_duration;
+    if (sched.now() < emitted) sched.run_until(emitted);
+    deliver(p);
+  }
+
+  /// Delivers a control shard as it arrives from `src`, at the current time.
+  void deliver(const sim::packet& p) {
     sigma->handle_packet(p, net.next_hop(src, router));
   }
 

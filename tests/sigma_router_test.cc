@@ -137,7 +137,7 @@ TEST_F(sigma_fixture, stale_authorization_is_pruned) {
 }
 
 TEST_F(sigma_fixture, guess_tally_decays_instead_of_accumulating) {
-  // Regression for the unbounded guess_tally_ map: the tally is windowed by
+  // Regression for an unbounded guessing tally: the tally is windowed by
   // slot, so a long run of steady guessing keeps a bounded recent count while
   // the cumulative invalid_keys counter grows with run length.
   receiver_options attacker;
@@ -336,7 +336,7 @@ TEST(sigma_router_memory, rejoin_inherits_debt_and_still_blocked_means_refused) 
 TEST(sigma_router_memory, debt_expires_after_the_memory_window) {
   // The memory is a window, not a life sentence: a rejoin after
   // probation_memory_slots slots past the served cutoff starts a fresh grace
-  // window again (the record was lazily GC'd).
+  // window again (the remembered debt has passed its deadline).
   dumbbell_config cfg;
   cfg.bottleneck_bps = 10e6;
   cfg.probation_memory_slots = 4;  // 1 s at 250 ms slots
@@ -379,6 +379,78 @@ TEST(sigma_router_memory, debt_expires_after_the_memory_window) {
   EXPECT_GT(d.net().get(freeloader)->stats().delivered_local,
             delivered_at_rejoin);
   (void)session;
+}
+
+TEST(sigma_router_memory, debt_cutoff_and_tally_stay_on_their_own_port) {
+  // Two hosts behind one edge router. The churner's remembered debt, the
+  // cutoff it converts into and its guessing tally belong to its own
+  // interface: the neighbour's keyless join right after still gets a fresh
+  // grace window, and its tally reads 0.
+  dumbbell_config cfg;
+  cfg.bottleneck_bps = 10e6;
+  cfg.probation_memory_slots = 8;
+  testbed d(dumbbell(cfg));
+  auto& session = d.add_flid_session(flid_mode::ds, {receiver_options{}});
+  const auto churner = d.attach_host("churner", "r");
+  const auto neighbour = d.attach_host("neighbour", "r");
+  const int sid = session.config.session_id;
+  const sim::group_addr minimal = session.config.group(1);
+  const auto send = [&](sim::node_id from, sim::header hdr) {
+    sim::packet p;
+    p.size_bytes = 20;
+    p.dst = sim::dest::to_node(d.router("r"));
+    p.hdr = std::move(hdr);
+    d.net().get(from)->send(std::move(p));
+  };
+  const auto join = [&](sim::node_id from) {
+    send(from, sim::sigma_session_join{sid, minimal});
+  };
+  slot_recorder churner_slots;
+  slot_recorder neighbour_slots;
+  d.net().get(churner)->add_agent(&churner_slots);
+  d.net().get(neighbour)->add_agent(&neighbour_slots);
+  d.net().get(churner)->host_join(minimal);
+  d.net().get(neighbour)->host_join(minimal);
+
+  //   2.00  churner joins        -> fresh grace window
+  //   2.30  churner unsubscribes -> the pending probation is remembered
+  //   2.60  churner rejoins      -> inherits the debt: no grace, its first
+  //                                 packet converts into a cutoff
+  //   2.70  churner guesses a key for the slot after next
+  //   2.75  neighbour joins      -> not refused, fresh grace window
+  d.sched().at(sim::seconds(2.0), [&] { join(churner); });
+  d.sched().at(sim::seconds(2.3), [&] {
+    send(churner, sim::sigma_unsubscribe{sid, {minimal}});
+  });
+  d.sched().at(sim::seconds(2.6), [&] { join(churner); });
+  d.sched().at(sim::seconds(2.7), [&] {
+    const std::int64_t slot =
+        d.sched().now() / session.config.slot_duration + key_lead_slots;
+    send(churner, sim::sigma_subscribe{sid, slot,
+                                       {{minimal, crypto::group_key{0xBAD}}},
+                                       1});
+  });
+  d.sched().at(sim::seconds(2.75), [&] { join(neighbour); });
+  d.run_until(sim::seconds(4.0));
+
+  const auto& sg = d.sigma().stats();
+  EXPECT_EQ(sg.memory_records, 1u);
+  EXPECT_EQ(sg.memory_inherits, 1u);
+  EXPECT_EQ(sg.memory_refusals, 0u);
+  EXPECT_EQ(sg.session_joins_refused, 0u);
+  EXPECT_EQ(sg.session_joins, 4u);  // the session's own receiver joins too
+  // The churner's data stopped at its unsubscribe (slot 9, 250 ms slots);
+  // the neighbour's began with its own join (slot 11).
+  ASSERT_FALSE(churner_slots.seen.empty());
+  EXPECT_LE(*churner_slots.seen.rbegin(), 9);
+  ASSERT_FALSE(neighbour_slots.seen.empty());
+  EXPECT_GE(*neighbour_slots.seen.begin(), 11);
+  EXPECT_GE(sg.probation_blocks, 2u);  // churner's cutoff + neighbour's expiry
+  sim::link* to_churner = d.net().next_hop(d.router("r"), churner);
+  sim::link* to_neighbour = d.net().next_hop(d.router("r"), neighbour);
+  EXPECT_NE(to_churner->port(), to_neighbour->port());
+  EXPECT_EQ(d.sigma().guess_tally(to_churner), 1u);
+  EXPECT_EQ(d.sigma().guess_tally(to_neighbour), 0u);
 }
 
 // --- Per-slot state: what the router keeps, and what it refuses to keep ----
@@ -455,6 +527,67 @@ TEST(sigma_router_slots, control_shards_from_a_host_are_refused) {
                 delta.keys_for(key_lead_slots)->top[1]}});
   EXPECT_EQ(h.sigma->stats().valid_keys, 1u);
   EXPECT_EQ(h.sigma->stats().ctrl_refused, 8u);
+}
+
+TEST(sigma_router_slots, shards_off_the_announced_slot_clock_are_refused) {
+  // Even on the reverse path, a shard is checked against the session's
+  // announced clock (slot = now / slot_duration): its target must lie within
+  // the key history of it, and its session and slot length must be the
+  // announced ones.
+  sigma_harness h;
+  delta_layered_sender delta(sigma_harness::session_id, 4, 16, 31);
+  // At time 0 a block for target slot key_history_slots is in bounds; one
+  // slot further is not.
+  h.deliver(h.make_shards(delta, key_history_slots - key_lead_slots, 4, 4)[0]);
+  EXPECT_EQ(h.sigma->stats().ctrl_shards, 1u);
+  h.deliver(
+      h.make_shards(delta, key_history_slots - key_lead_slots + 1, 4, 4)[0]);
+  EXPECT_EQ(h.sigma->stats().ctrl_shards, 1u);
+  EXPECT_EQ(h.sigma->stats().ctrl_refused, 1u);
+
+  // A session that was never announced, and a slot length that differs
+  // from the announcement.
+  auto unknown = h.make_shards(delta, 0, 4, 4).front();
+  std::get<sim::sigma_ctrl>(unknown.hdr).session_id = 99;
+  h.deliver(unknown);
+  auto slower = h.make_shards(delta, 0, 4, 4).front();
+  std::get<sim::sigma_ctrl>(slower.hdr).slot_duration = sim::milliseconds(500);
+  h.deliver(slower);
+  EXPECT_EQ(h.sigma->stats().ctrl_shards, 1u);
+  EXPECT_EQ(h.sigma->stats().ctrl_refused, 3u);
+
+  // Behind the clock: at slot 100 a block for target slot 12 is stale.
+  h.sched.run_until(100 * sim::milliseconds(250));
+  for (const auto& p : h.make_shards(delta, 10, 4, 4)) h.deliver(p);
+  EXPECT_EQ(h.sigma->stats().ctrl_refused, 11u);
+  EXPECT_EQ(h.sigma->stats().blocks_decoded, 0u);
+}
+
+TEST(sigma_router_slots, a_far_future_shard_from_upstream_moves_nothing) {
+  // A shard for a slot 10^6 ahead used to move the session's window and
+  // abort the run once live slots spanned too wide. Now it is refused, and
+  // the session's own blocks keep decoding and validating.
+  sigma_harness h;
+  delta_layered_sender delta(sigma_harness::session_id, 4, 16, 32);
+  h.decode_slot(delta, 0);
+  EXPECT_EQ(h.sigma->stats().blocks_decoded, 1u);
+  delta_layered_sender forger(sigma_harness::session_id, 4, 16, 33);
+  constexpr std::int64_t far = 1'000'000;
+  for (const auto& p : h.make_shards(forger, far, 4, 4)) h.deliver(p);
+  EXPECT_EQ(h.sigma->stats().ctrl_refused, 8u);
+  EXPECT_EQ(h.sigma->stats().blocks_decoded, 1u);
+  h.subscribe(sigma_harness::session_id, far + key_lead_slots,
+              {{sigma_harness::group(1),
+                forger.keys_for(far + key_lead_slots)->top[1]}});
+  EXPECT_EQ(h.sigma->stats().valid_keys, 0u);
+  EXPECT_EQ(h.sigma->parked_subscriptions(), 0u);
+
+  h.decode_slot(delta, 1);
+  EXPECT_EQ(h.sigma->stats().blocks_decoded, 2u);
+  h.subscribe(sigma_harness::session_id, 1 + key_lead_slots,
+              {{sigma_harness::group(1),
+                delta.keys_for(1 + key_lead_slots)->top[1]}});
+  EXPECT_EQ(h.sigma->stats().valid_keys, 1u);
 }
 
 TEST(sigma_router_slots, key_tuples_are_kept_for_the_key_history) {
