@@ -175,6 +175,30 @@ int ceiling(const flid::flid_receiver& r, int level) {
                    : r.config().num_groups;
 }
 
+/// inflate_once over raw IGMP (the attack of Figure 1): honest until
+/// `start`, then holds the ceiling and ignores congestion from then on. A
+/// ceiling below the level the honest phase reached sheds the excess.
+class inflate_plain_strategy : public flid::subscription_strategy {
+ public:
+  inflate_plain_strategy(sim::time_ns start, int level)
+      : start_(start), level_(level) {}
+
+  void session_start(flid::flid_receiver& r) override {
+    honest_.session_start(r);
+  }
+
+  int on_slot(flid::flid_receiver& r, const flid::slot_summary& s) override {
+    if (r.net().sched().now() < start_) return honest_.on_slot(r, s);
+    flid::apply_plain_level(r, ceiling(r, level_));
+    return r.level();
+  }
+
+ private:
+  sim::time_ns start_;
+  int level_;
+  flid::honest_plain_strategy honest_;
+};
+
 /// pulse_inflate over raw IGMP: inflate to the ceiling during on phases,
 /// collapse to the minimal layer at each on->off edge, then behave honestly
 /// until the next pulse.
@@ -195,28 +219,17 @@ class pulse_plain_strategy : public flid::subscription_strategy {
     if (now < start_) return honest_.on_slot(r, s);
     const bool on_phase = (now - start_) % (on_ + off_) < on_;
     if (on_phase) {
+      // Ignore congestion while the pulse is live; a capped ceiling sheds
+      // what the honest phase climbed past it.
       was_on_ = true;
-      const int n = ceiling(r, level_);
-      for (int g = r.level() + 1; g <= n; ++g) {
-        r.membership().join(r.config().group(g));
-      }
-      // The honest phase may have climbed past a capped ceiling: leave the
-      // excess, or those memberships would leak forever (set_local_level
-      // alone never signals the network).
-      for (int g = r.level(); g > n; --g) {
-        r.membership().leave(r.config().group(g));
-      }
-      r.set_local_level(n);
-      return n;  // ignore congestion while the pulse is live
+      flid::apply_plain_level(r, ceiling(r, level_));
+      return r.level();
     }
     if (was_on_) {
       // On -> off edge: shed everything at once so the next pulse restarts
       // from a clean congestion window.
       was_on_ = false;
-      for (int g = r.level(); g >= 2; --g) {
-        r.membership().leave(r.config().group(g));
-      }
-      r.set_local_level(1);
+      flid::apply_plain_level(r, 1);
       return 1;
     }
     return honest_.on_slot(r, s);
@@ -244,18 +257,9 @@ class churn_plain_strategy : public flid::subscription_strategy {
     if (r.net().sched().now() < start_) return honest_.on_slot(r, s);
     if (first_slot_ < 0) first_slot_ = s.slot;
     const bool up = (s.slot - first_slot_) / period_ % 2 == 0;
-    const int n = ceiling(r, depth_);
-    if (up && r.level() < n) {
-      for (int g = r.level() + 1; g <= n; ++g) {
-        r.membership().join(r.config().group(g));
-      }
-      r.set_local_level(n);
-    } else if (!up && r.level() > 1) {
-      for (int g = r.level(); g >= 2; --g) {
-        r.membership().leave(r.config().group(g));
-      }
-      r.set_local_level(1);
-    }
+    const int level = r.level();
+    flid::apply_plain_level(r, up ? std::max(level, ceiling(r, depth_))
+                                  : std::min(level, 1));
     return r.level();
   }
 
@@ -281,8 +285,7 @@ class deaf_plain_strategy : public flid::subscription_strategy {
     if (r.net().sched().now() < start_) return honest_.on_slot(r, s);
     const int level = r.level();
     if (level < r.config().num_groups && s.upgrade_authorized(level + 1)) {
-      r.membership().join(r.config().group(level + 1));
-      r.set_local_level(level + 1);
+      flid::apply_plain_level(r, level + 1);
     }
     return r.level();
   }
@@ -603,7 +606,7 @@ std::unique_ptr<flid::subscription_strategy> make_strategy(
       case strategy_kind::honest:
         return std::make_unique<flid::honest_plain_strategy>();
       case strategy_kind::inflate_once:
-        return std::make_unique<flid::inflating_plain_strategy>(
+        return std::make_unique<inflate_plain_strategy>(
             p.start, p.inflate_level);
       case strategy_kind::pulse_inflate:
         return std::make_unique<pulse_plain_strategy>(
@@ -616,7 +619,7 @@ std::unique_ptr<flid::subscription_strategy> make_strategy(
       case strategy_kind::collusion:
         // No keys exist in the plain world; each colluder degenerates to an
         // independent inflater.
-        return std::make_unique<flid::inflating_plain_strategy>(
+        return std::make_unique<inflate_plain_strategy>(
             p.start, p.inflate_level);
       case strategy_kind::adaptive_pulse:
         // The adaptation targets SIGMA's enforcement signals (claw-back,

@@ -229,8 +229,9 @@ struct build_context {
 };
 
 /// Compiles a profile into a live strategy for the given protocol world.
-/// inflate_once compiles to flid::inflating_plain_strategy /
-/// core::misbehaving_sigma_strategy.
+/// inflate_once compiles to a raw-IGMP inflater (plain) or to
+/// core::misbehaving_sigma_strategy (SIGMA). Every plain strategy changes
+/// membership through flid::apply_plain_level.
 [[nodiscard]] std::unique_ptr<flid::subscription_strategy> make_strategy(
     flid::protocol proto, const profile& p, const build_context& ctx);
 

@@ -175,31 +175,23 @@ delta_reconstruction delta_layered_receiver::reconstruct(
 // Replicated receiver (Figure 5)
 // ---------------------------------------------------------------------------
 
-replicated_reconstruction reconstruct_replicated(
-    const flid::replicated_receiver::slot_record& rec, int current_group,
-    int num_groups) {
+replicated_reconstruction reconstruct_replicated(const flid::slot_summary& s,
+                                                 int num_groups) {
   replicated_reconstruction out;
-  const bool congested = rec.expected < 0 || rec.received < rec.expected;
-  if (congested) {
+  const int g = s.level;
+  if (g < 1) return out;
+  const flid::group_slot_record& rec = s.groups[static_cast<std::size_t>(g)];
+  if (!rec.complete()) {
     // Figure 5: u_{g-1} <- decrease field from R_g; n <- g - 1 (null at g=1).
-    if (current_group <= 1 || !rec.decrease.has_value()) {
-      out.next_group = 0;
-      return out;
-    }
-    out.next_group = current_group - 1;
+    if (g == 1 || !rec.decrease.has_value()) return out;
+    out.next_group = g - 1;
     out.key = rec.decrease;
     return out;
   }
-  // Uncongested: u_g = XOR of component fields of the current group.
-  const crypto::group_key tau = rec.xor_components;
-  if (current_group < num_groups &&
-      (rec.auth_mask & (1u << (current_group + 1)))) {
-    // u_{g+1} <- u_g: iota_{g+1} equals tau_g.
-    out.next_group = current_group + 1;
-  } else {
-    out.next_group = current_group;
-  }
-  out.key = tau;
+  // Uncongested: u_g = XOR of the component fields of group g; when an
+  // upgrade is authorized, u_{g+1} <- u_g (iota_{g+1} equals tau_g).
+  out.next_group = g < num_groups && s.upgrade_authorized(g + 1) ? g + 1 : g;
+  out.key = rec.xor_components;
   return out;
 }
 

@@ -36,7 +36,6 @@
 #include "crypto/prng.h"
 #include "flid/flid_receiver.h"
 #include "flid/flid_sender.h"
-#include "flid/replicated.h"
 #include "sim/slot_window.h"
 
 namespace mcc::core {
@@ -137,10 +136,11 @@ struct replicated_reconstruction {
   std::optional<crypto::group_key> key;  // key for next_group
 };
 
-/// A pure function of one slot's record of the receiver's current group.
+/// A pure function of a replicated flid_receiver's slot summary: reads the
+/// record of the group held for the whole slot (s.level; none held = no
+/// keys). Its decrease field is that group's own (Figure 5).
 [[nodiscard]] replicated_reconstruction reconstruct_replicated(
-    const flid::replicated_receiver::slot_record& rec, int current_group,
-    int num_groups);
+    const flid::slot_summary& s, int num_groups);
 
 }  // namespace mcc::core
 

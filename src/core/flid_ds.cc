@@ -42,6 +42,10 @@ honest_sigma_strategy::~honest_sigma_strategy() {
 }
 
 void honest_sigma_strategy::attach(flid::flid_receiver& r) {
+  // Every SIGMA strategy (honest, attacking, TLM, aggregate delegate) enters
+  // here, and all of them prove cumulative levels.
+  util::require(r.config().structure == flid::session_structure::cumulative,
+                "SIGMA receiver strategies need a cumulative session");
   net_ = &r.net();
   receiver_ = &r;
   delta_ = std::make_unique<delta_layered_receiver>(r.config().num_groups);

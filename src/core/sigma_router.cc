@@ -301,16 +301,22 @@ void sigma_router_agent::on_unsubscribe(const sim::sigma_unsubscribe& msg,
   ++stats_.unsubscribes;
   trace(obs::trace_event::unsubscribe, iface,
         static_cast<std::uint64_t>(msg.session_id), msg.groups.size());
-  // The adaptive_churn loophole lived here: wiping the state wiped the
-  // pending probation and blocked_until debt with it. Under probation memory
-  // the debt outlives the wipe, timed by the session's slot clock.
-  const session_state* sess =
-      probation_memory_slots_ > 0 ? session(msg.session_id) : nullptr;
+  // The message is untrusted: it may name only groups of an announced
+  // session. Naming another session would time a remembered debt with the
+  // wrong slot clock, or (a session never announced) with none at all.
+  const session_state* sess = session(msg.session_id);
+  if (sess == nullptr) return;
+  const std::vector<sim::group_addr>& listed =
+      net_.find_session(msg.session_id)->groups;
   iface_state& ifc = port(iface);
   for (sim::group_addr g : msg.groups) {
+    if (std::find(listed.begin(), listed.end(), g) == listed.end()) continue;
     group_state* st = ifc.groups.find(g);
     if (st == nullptr) continue;
-    if (sess != nullptr) remember_debt(iface, g.value, *st, *sess);
+    // The adaptive_churn loophole lived here: wiping the state wiped the
+    // pending probation and blocked_until debt with it. Under probation
+    // memory the debt outlives the wipe, timed by the session's slot clock.
+    if (probation_memory_slots_ > 0) remember_debt(iface, g.value, *st, *sess);
     ungraft(g.value, iface, *st);
     *st = group_state{.debt = st->debt};
   }

@@ -5,6 +5,7 @@
 #ifndef MCC_FLID_FLID_CONFIG_H
 #define MCC_FLID_FLID_CONFIG_H
 
+#include <algorithm>
 #include <cmath>
 
 #include "sim/time.h"
@@ -56,6 +57,18 @@ struct flid_config {
   /// Rate of the individual group (layer) g.
   [[nodiscard]] double group_rate_bps(int g) const {
     return cumulative_rate_bps(g) - cumulative_rate_bps(g - 1);
+  }
+
+  /// Lowest group held at subscription `level`: the held groups are
+  /// lowest_group(level)..level, i.e. 1..level in a cumulative session and
+  /// group `level` alone in a replicated one (none at level 0).
+  [[nodiscard]] int lowest_group(int level) const {
+    return structure == session_structure::replicated ? std::max(level, 1)
+                                                      : 1;
+  }
+  /// Whether subscription `level` holds group `g`.
+  [[nodiscard]] bool holds(int level, int g) const {
+    return g >= lowest_group(level) && g <= level;
   }
 
   [[nodiscard]] sim::group_addr group(int g) const {

@@ -5,11 +5,11 @@
 namespace mcc::flid {
 
 namespace {
-/// Congested at level n = a group in 1..n with missing or invalidated
+/// Congested over groups lo..hi = one of them has missing or invalidated
 /// packets (FLID-DL / RLC define congestion as a single packet loss in the
 /// slot).
-bool incomplete_through(const std::vector<group_slot_record>& groups, int n) {
-  for (int g = 1; g <= n; ++g) {
+bool incomplete(const std::vector<group_slot_record>& groups, int lo, int hi) {
+  for (int g = lo; g <= hi; ++g) {
     if (!groups[static_cast<std::size_t>(g)].complete()) return true;
   }
   return false;
@@ -27,8 +27,6 @@ flid_receiver::flid_receiver(sim::network& net, sim::node_id host,
       membership_(net, host, edge_router),
       monitor_(net.sched()) {
   util::require(strategy_ != nullptr, "flid_receiver: strategy required");
-  util::require(cfg_.structure == session_structure::cumulative,
-                "flid_receiver: cumulative session required");
   join_time_.assign(static_cast<std::size_t>(cfg_.num_groups) + 1, -1);
   net_.get(host_)->add_agent(this);
 }
@@ -119,19 +117,18 @@ slot_summary flid_receiver::summarize(std::int64_t slot) {
                     group_slot_record{});
   }
 
-  // Level during the slot: contiguous groups subscribed before slot start and
-  // still subscribed now.
+  // Level held for the whole slot: the groups held now, counted up from the
+  // lowest, as long as each was joined before the slot began.
   const sim::time_ns slot_start = slot * cfg_.slot_duration;
   int lvl = 0;
-  for (int g = 1; g <= cfg_.num_groups; ++g) {
-    const sim::time_ns jt = join_time_[static_cast<std::size_t>(g)];
-    if (jt < 0 || jt > slot_start) break;
+  for (int g = cfg_.lowest_group(level_); g <= level_; ++g) {
+    if (join_time_[static_cast<std::size_t>(g)] > slot_start) break;
     lvl = g;
     s.groups[static_cast<std::size_t>(g)].full_slot = true;
   }
   s.level = lvl;
 
-  s.congested = incomplete_through(s.groups, lvl);
+  s.congested = incomplete(s.groups, cfg_.lowest_group(lvl), lvl);
   return s;
 }
 
@@ -147,7 +144,7 @@ int slot_summary::granted() const {
 slot_summary slot_summary::at_level(int n) const {
   slot_summary out = *this;
   out.level = n;
-  out.congested = incomplete_through(groups, n);
+  out.congested = incomplete(groups, 1, n);
   return out;
 }
 
@@ -177,7 +174,7 @@ void flid_receiver::apply_congestion_manager(slot_summary& summary) {
   cm::observation report;
   report.slot = summary.slot;
   report.congested = summary.congested;
-  for (int g = 1; g <= summary.level; ++g) {
+  for (int g = cfg_.lowest_group(summary.level); g <= summary.level; ++g) {
     if (summary.groups[static_cast<std::size_t>(g)].scrubbed) {
       report.ecn_marked = true;
       break;
@@ -228,22 +225,20 @@ void flid_receiver::evaluate_slot(std::int64_t slot) {
 
 void flid_receiver::set_local_level(int new_level) {
   new_level = std::clamp(new_level, 0, cfg_.num_groups);
+  if (new_level == level_) return;
   sim::node* h = net_.get(host_);
-  if (new_level > level_) {
-    for (int g = level_ + 1; g <= new_level; ++g) {
-      h->host_join(cfg_.group(g));
-      join_time_[static_cast<std::size_t>(g)] = net_.sched().now();
-    }
-  } else if (new_level < level_) {
-    for (int g = new_level + 1; g <= level_; ++g) {
-      h->host_leave(cfg_.group(g));
-      join_time_[static_cast<std::size_t>(g)] = -1;
-    }
+  for (int g = cfg_.lowest_group(level_); g <= level_; ++g) {
+    if (cfg_.holds(new_level, g)) continue;
+    h->host_leave(cfg_.group(g));
+    join_time_[static_cast<std::size_t>(g)] = -1;
   }
-  if (new_level != level_) {
-    level_ = new_level;
-    level_history_.emplace_back(net_.sched().now(), level_);
+  for (int g = cfg_.lowest_group(new_level); g <= new_level; ++g) {
+    if (cfg_.holds(level_, g)) continue;
+    h->host_join(cfg_.group(g));
+    join_time_[static_cast<std::size_t>(g)] = net_.sched().now();
   }
+  level_ = new_level;
+  level_history_.emplace_back(net_.sched().now(), level_);
 }
 
 // ---------------------------------------------------------------------------
@@ -258,15 +253,13 @@ int honest_level_step(int level, int cap, const slot_summary& s) {
 }
 
 void apply_plain_level(flid_receiver& r, int target) {
+  const flid_config& cfg = r.config();
   const int level = r.level();
-  if (target > level) {
-    for (int g = level + 1; g <= target; ++g) {
-      r.membership().join(r.config().group(g));
-    }
-  } else {
-    for (int g = level; g > target; --g) {
-      r.membership().leave(r.config().group(g));
-    }
+  for (int g = level; g >= cfg.lowest_group(level); --g) {
+    if (!cfg.holds(target, g)) r.membership().leave(cfg.group(g));
+  }
+  for (int g = cfg.lowest_group(target); g <= target; ++g) {
+    if (!cfg.holds(level, g)) r.membership().join(cfg.group(g));
   }
   r.set_local_level(target);
 }
@@ -280,35 +273,6 @@ int honest_plain_strategy::on_slot(flid_receiver& r, const slot_summary& s) {
   const int target = honest_level_step(r.level(), r.config().num_groups, s);
   if (target != r.level()) apply_plain_level(r, target);
   return r.level();
-}
-
-void inflating_plain_strategy::session_start(flid_receiver& r) {
-  r.set_local_level(1);
-  r.membership().join(r.config().group(1));
-}
-
-int inflating_plain_strategy::on_slot(flid_receiver& r,
-                                      const slot_summary& s) {
-  const int n = inflate_level_ > 0
-                    ? std::min(inflate_level_, r.config().num_groups)
-                    : r.config().num_groups;
-  if (!inflated_ && r.net().sched().now() >= inflate_at_) {
-    inflated_ = true;
-    // The attack: raise the subscription via raw IGMP regardless of
-    // congestion state.
-    for (int g = r.level() + 1; g <= n; ++g) {
-      r.membership().join(r.config().group(g));
-    }
-    r.set_local_level(n);
-    return n;
-  }
-  if (inflated_) {
-    // Ignore all congestion signals; keep claiming the inflated level.
-    return n;
-  }
-  // Behave honestly until the attack starts.
-  honest_plain_strategy honest;
-  return honest.on_slot(r, s);
 }
 
 }  // namespace mcc::flid

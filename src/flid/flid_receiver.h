@@ -1,6 +1,8 @@
 // FLID receiver: per-slot reception bookkeeping (loss detection by header
 // packet counts, DELTA component accumulation) and a pluggable subscription
-// strategy.
+// strategy. One receiver serves both session structures (paper section
+// 3.1.2): level g holds groups 1..g of a cumulative session, or group g
+// alone of a replicated one (flid_config::lowest_group).
 //
 // The strategy split mirrors the paper's separation of concerns: the
 // *receiver* observes its congestion state per slot; the *strategy* decides
@@ -47,7 +49,9 @@ struct group_slot_record {
 /// Everything a strategy needs to act on one evaluated slot.
 struct slot_summary {
   std::int64_t slot = 0;
-  int level = 0;  // groups subscribed for the whole slot (contiguous 1..level)
+  /// Level held for the whole slot: groups lowest_group(level)..level of the
+  /// session (0 = none held since the slot began).
+  int level = 0;
   bool congested = false;
   std::uint32_t auth_mask = 0;
   std::vector<group_slot_record> groups;  // index 0 unused; 1..num_groups
@@ -59,8 +63,8 @@ struct slot_summary {
   /// to the first silent one: the prefix the edge router granted (0 = cut
   /// off, or group 1 withdrawn).
   [[nodiscard]] int granted() const;
-  /// This slot as seen at level `n`: `level` = n and `congested` recomputed
-  /// over groups 1..n only.
+  /// This slot as seen at cumulative level `n` (SIGMA sessions are
+  /// cumulative): `level` = n and `congested` recomputed over groups 1..n.
   [[nodiscard]] slot_summary at_level(int n) const;
 };
 
@@ -131,8 +135,9 @@ class flid_receiver : public sim::agent {
   }
 
   // --- primitives used by strategies ------------------------------------------
-  /// Updates the cumulative subscription level: joins/leaves local host state
-  /// and records join times for full-slot bookkeeping. Does NOT signal the
+  /// Updates the subscription level: leaves, then joins, the local host
+  /// state of the groups the move drops and adds (flid_config::holds), and
+  /// records join times for full-slot bookkeeping. Does NOT signal the
   /// network (strategies do that via IGMP or SIGMA messages).
   void set_local_level(int new_level);
 
@@ -207,35 +212,19 @@ class flid_receiver : public sim::agent {
 /// cap is the highest layer any live member demands.
 [[nodiscard]] int honest_level_step(int level, int cap, const slot_summary& s);
 
-/// Applies a target level through the plain control plane: IGMP joins/leaves
-/// for the delta, then the local level update (the exact message order of the
-/// honest strategy).
+/// Applies a target level through the plain control plane: IGMP leaves for
+/// the groups the move drops (highest first), then joins for the groups it
+/// adds, then the local level update. The one membership step of every
+/// plain strategy, honest or attacking, cumulative or replicated.
 void apply_plain_level(flid_receiver& r, int target);
 
 /// Well-behaved FLID-DL receiver: drop the top layer on a lossy slot, add a
-/// layer when authorized and loss-free.
+/// layer when authorized and loss-free. In a replicated session the same law
+/// switches down or up one group.
 class honest_plain_strategy : public subscription_strategy {
  public:
   void session_start(flid_receiver& r) override;
   int on_slot(flid_receiver& r, const slot_summary& s) override;
-};
-
-/// Misbehaving receiver: behaves honestly until `inflate_at`, then raises its
-/// subscription to `inflate_level` via raw IGMP and ignores congestion
-/// signals from then on (the attack of Figure 1). inflate_level <= 0 means
-/// "all groups".
-class inflating_plain_strategy : public subscription_strategy {
- public:
-  explicit inflating_plain_strategy(sim::time_ns inflate_at,
-                                    int inflate_level = 0)
-      : inflate_at_(inflate_at), inflate_level_(inflate_level) {}
-  void session_start(flid_receiver& r) override;
-  int on_slot(flid_receiver& r, const slot_summary& s) override;
-
- private:
-  sim::time_ns inflate_at_;
-  int inflate_level_;
-  bool inflated_ = false;
 };
 
 }  // namespace mcc::flid

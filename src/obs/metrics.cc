@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include <cstdio>
-
 #include "util/require.h"
 
 namespace mcc::obs {
@@ -23,41 +21,10 @@ void histogram::observe(double v) {
   sum_ += v;
 }
 
-counter& registry::add_counter(std::string name, label_list labels) {
-  counters_.emplace_back();
-  entry e;
-  e.flat = flatten(name, labels);
-  e.c = &counters_.back();
-  entries_.push_back(std::move(e));
-  return counters_.back();
-}
-
-gauge& registry::add_gauge(std::string name, label_list labels) {
-  gauges_.emplace_back();
-  entry e;
-  e.flat = flatten(name, labels);
-  e.g = &gauges_.back();
-  entries_.push_back(std::move(e));
-  return gauges_.back();
-}
-
-histogram& registry::add_histogram(std::string name, std::vector<double> bounds,
-                                   label_list labels) {
-  histograms_.emplace_back(std::move(bounds));
-  entry e;
-  e.flat = flatten(name, labels);
-  e.h = &histograms_.back();
-  entries_.push_back(std::move(e));
-  return histograms_.back();
-}
-
 void registry::add_view(std::string name, label_list labels,
                         std::function<double()> read) {
   util::require(static_cast<bool>(read), "registry: view needs a reader");
-  entry e;
-  e.flat = flatten(name, labels);
-  e.view = std::move(read);
-  entries_.push_back(std::move(e));
+  entries_.push_back(entry{flatten(name, labels), std::move(read)});
 }
 
 std::string registry::flatten(const std::string& name,
@@ -75,38 +42,10 @@ std::string registry::flatten(const std::string& name,
   return flat;
 }
 
-namespace {
-
-std::string bound_suffix(double bound) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", bound);
-  return buf;
-}
-
-}  // namespace
-
 metric_snapshot registry::snapshot() const {
   metric_snapshot out;
   out.reserve(entries_.size());
-  for (const entry& e : entries_) {
-    if (e.c != nullptr) {
-      out.emplace_back(e.flat, static_cast<double>(e.c->value()));
-    } else if (e.g != nullptr) {
-      out.emplace_back(e.flat, e.g->value());
-    } else if (e.h != nullptr) {
-      out.emplace_back(e.flat + ".count", static_cast<double>(e.h->count()));
-      out.emplace_back(e.flat + ".sum", e.h->sum());
-      const auto& bounds = e.h->bounds();
-      for (std::size_t i = 0; i < bounds.size(); ++i) {
-        out.emplace_back(e.flat + ".le_" + bound_suffix(bounds[i]),
-                         static_cast<double>(e.h->bucket(i)));
-      }
-      out.emplace_back(e.flat + ".overflow",
-                       static_cast<double>(e.h->bucket(bounds.size())));
-    } else {
-      out.emplace_back(e.flat, e.view());
-    }
-  }
+  for (const entry& e : entries_) out.emplace_back(e.flat, e.view());
   return out;
 }
 

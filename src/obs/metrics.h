@@ -1,13 +1,12 @@
-// Metrics registry: named counters, gauges, and histograms with hierarchical
-// labels (node, link, interface×group, session), registered once and
-// snapshotted per sweep row into BENCH_*.json.
+// Metrics registry: named views with hierarchical labels (node, link,
+// interface×group, session), registered once and snapshotted per sweep row
+// into BENCH_*.json.
 //
-// The registry is deliberately pull-based: the existing scattered stats
-// (sim::link_stats, sigma_router_agent counters, attacker cost, population
-// state bytes) are exposed as *views* — a name plus a std::function reading
-// the live struct at snapshot time — so no call site loses its current API
-// and the simulation hot path pays nothing. Owned instruments (counter /
-// gauge / histogram) exist for code that has no legacy struct to view.
+// The registry is deliberately pull-based and owns no values: the scattered
+// stats (sim::link_stats, sigma_router_agent counters, attacker cost,
+// population state bytes) are exposed as *views* — a name plus a
+// std::function reading the live struct at snapshot time — so no call site
+// loses its current API and the simulation hot path pays nothing.
 //
 // Snapshots are deterministic: entries come back in registration order, and
 // registration order is a pure function of world construction order, so
@@ -22,7 +21,6 @@
 #define MCC_OBS_METRICS_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <utility>
@@ -33,30 +31,9 @@ namespace mcc::obs {
 /// Ordered label set; order is part of the flattened name.
 using label_list = std::vector<std::pair<std::string, std::string>>;
 
-/// Monotone event count owned by the registry.
-class counter {
- public:
-  void inc(std::uint64_t delta = 1) { value_ += delta; }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Point-in-time level owned by the registry.
-class gauge {
- public:
-  void set(double v) { value_ = v; }
-  [[nodiscard]] double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
 /// Fixed-bound histogram: observations are counted into the first bucket
 /// whose upper bound is >= the value; values past the last bound land in the
-/// overflow bucket. Snapshot expands to .count / .sum / .le_<bound> /
-/// .overflow entries.
+/// overflow bucket. Its owner reports it (exp::sweep_profile::point_ms).
 class histogram {
  public:
   explicit histogram(std::vector<double> bounds);
@@ -87,24 +64,13 @@ class registry {
   registry(const registry&) = delete;
   registry& operator=(const registry&) = delete;
 
-  /// Owned instruments. References stay valid for the registry's lifetime
-  /// (deque storage never relocates).
-  counter& add_counter(std::string name, label_list labels = {});
-  gauge& add_gauge(std::string name, label_list labels = {});
-  histogram& add_histogram(std::string name, std::vector<double> bounds,
-                           label_list labels = {});
-
   /// A thin view over existing state: `read` is called at snapshot time.
   /// The caller guarantees whatever `read` captures outlives the registry's
   /// last snapshot (in exp::testbed: the testbed owns both).
   void add_view(std::string name, label_list labels,
                 std::function<double()> read);
 
-  /// Registered instruments (histograms count once, not per bucket).
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
-  /// All instruments flattened in registration order. Histograms expand to
-  /// <name>.count, <name>.sum, <name>.le_<bound>..., <name>.overflow.
+  /// Every view read and flattened, in registration order.
   [[nodiscard]] metric_snapshot snapshot() const;
 
   /// Canonical flattened form: `name` alone, or `name{k=v,k=v}`.
@@ -114,15 +80,9 @@ class registry {
  private:
   struct entry {
     std::string flat;  // flatten(name, labels), computed at registration
-    const counter* c = nullptr;
-    const gauge* g = nullptr;
-    const histogram* h = nullptr;
     std::function<double()> view;
   };
 
-  std::deque<counter> counters_;
-  std::deque<gauge> gauges_;
-  std::deque<histogram> histograms_;
   std::vector<entry> entries_;
 };
 

@@ -236,6 +236,29 @@ TEST(adversary_behaviour, capped_pulse_sheds_layers_climbed_before_onset) {
   EXPECT_GT(d.igmp().stats().leaves, 5u);
 }
 
+TEST(adversary_behaviour, capped_inflate_sheds_layers_climbed_before_onset) {
+  // The inflate_once twin of the pulse case above: the honest phase climbs
+  // well past level 2, so an inflater capped at level 2 must leave the
+  // higher groups at onset, or their memberships keep pulling them across
+  // the bottleneck.
+  exp::dumbbell_config cfg;
+  cfg.bottleneck_bps = 10e6;
+  cfg.seed = 3;
+  exp::testbed d(exp::dumbbell(cfg));
+  exp::receiver_options attacker;
+  attacker.attack = inflate_once(sim::seconds(20.0), key_mode::guess, 2);
+  d.add_flid_session(exp::flid_mode::dl, {attacker});
+  d.run_until(sim::seconds(30.0));
+  const std::int64_t before = d.bottleneck()->stats().bytes_delivered;
+  d.run_until(sim::seconds(60.0));
+  const double kbps = static_cast<double>(
+                          d.bottleneck()->stats().bytes_delivered - before) *
+                      8.0 / 30.0 / 1e3;
+  // Level 2 is 150 Kbps cumulative; the honest climb reached ~3.8 Mbps.
+  EXPECT_LT(kbps, 400.0);
+  EXPECT_GT(d.igmp().stats().leaves, 0u);
+}
+
 TEST(adversary_behaviour, churn_flap_thrashes_graft_prune_state) {
   exp::dumbbell_config cfg;
   cfg.bottleneck_bps = 10e6;

@@ -1,11 +1,13 @@
 // In-simulator tests for the replicated multicast protocol (one group at a
-// time, switch down on loss, switch up on authorization).
-#include "flid/replicated.h"
-
+// time, switch down on loss, switch up on authorization): flid_receiver with
+// the honest plain strategy on a replicated session, and the Figure-5 DELTA
+// keys reconstructed from that receiver's own slot summaries.
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "core/delta_layered.h"
+#include "core/flid_ds.h"
 #include "flid/flid_receiver.h"
 #include "flid/flid_sender.h"
 #include "mcast/igmp.h"
@@ -36,6 +38,17 @@ struct replicated_fixture : ::testing::Test {
     igmp_ = std::make_unique<mcast::igmp_agent>(net_, r2);
   }
 
+  /// A receiver at `dst` (honest plain by default), started at time 0.
+  std::unique_ptr<flid_receiver> start_receiver(
+      const flid_config& fc,
+      std::unique_ptr<subscription_strategy> strategy =
+          std::make_unique<honest_plain_strategy>()) {
+    auto r = std::make_unique<flid_receiver>(net_, dst, r2, fc,
+                                             std::move(strategy));
+    r->start(0);
+    return r;
+  }
+
   sim::scheduler sched_;
   sim::network net_{sched_};
   sim::node_id src, r1, r2, dst;
@@ -59,10 +72,9 @@ TEST_F(replicated_fixture, climbs_to_top_group_with_ample_capacity) {
   const auto fc = replicated_config();
   flid_sender sender(net_, src, fc, 1);
   sender.start(0);
-  replicated_receiver receiver(net_, dst, r2, fc);
-  receiver.start(0);
+  const auto receiver = start_receiver(fc);
   sched_.run_until(sim::seconds(90.0));
-  EXPECT_EQ(receiver.current_group(), fc.num_groups);
+  EXPECT_EQ(receiver->level(), fc.num_groups);
 }
 
 TEST_F(replicated_fixture, settles_at_sustainable_group_under_bottleneck) {
@@ -70,15 +82,14 @@ TEST_F(replicated_fixture, settles_at_sustainable_group_under_bottleneck) {
   const auto fc = replicated_config();  // rates 100,140,196,274,384 Kbps
   flid_sender sender(net_, src, fc, 1);
   sender.start(0);
-  replicated_receiver receiver(net_, dst, r2, fc);
-  receiver.start(0);
+  const auto receiver = start_receiver(fc);
   sched_.run_until(sim::seconds(120.0));
   // Groups 1-3 fit in 300 Kbps; group 5 (384K) does not. Group 4 (274K)
   // mostly fits; the receiver should hover at 3-4 and never hold 5.
-  EXPECT_GE(receiver.current_group(), 2);
-  EXPECT_LE(receiver.current_group(), 4);
-  const double kbps = receiver.monitor().average_kbps(sim::seconds(60.0),
-                                                      sim::seconds(120.0));
+  EXPECT_GE(receiver->level(), 2);
+  EXPECT_LE(receiver->level(), 4);
+  const double kbps = receiver->monitor().average_kbps(sim::seconds(60.0),
+                                                       sim::seconds(120.0));
   EXPECT_GT(kbps, 130.0);
   EXPECT_LT(kbps, 310.0);
 }
@@ -88,13 +99,12 @@ TEST_F(replicated_fixture, switches_exactly_one_group_at_a_time) {
   const auto fc = replicated_config();
   flid_sender sender(net_, src, fc, 1);
   sender.start(0);
-  replicated_receiver receiver(net_, dst, r2, fc);
-  receiver.start(0);
+  const auto receiver = start_receiver(fc);
   int last = 1;
   // Sample the group periodically; it must move in unit steps.
   for (int s = 1; s <= 60; ++s) {
     sched_.run_until(sim::seconds(static_cast<double>(s)));
-    const int g = receiver.current_group();
+    const int g = receiver->level();
     EXPECT_LE(std::abs(g - last), 1) << "at t=" << s;
     last = g;
   }
@@ -105,8 +115,7 @@ TEST_F(replicated_fixture, only_one_group_subscribed_at_any_time) {
   const auto fc = replicated_config();
   flid_sender sender(net_, src, fc, 1);
   sender.start(0);
-  replicated_receiver receiver(net_, dst, r2, fc);
-  receiver.start(0);
+  const auto receiver = start_receiver(fc);
   for (int s = 1; s <= 30; ++s) {
     sched_.run_until(sim::seconds(static_cast<double>(s)));
     int subscribed = 0;
@@ -133,14 +142,82 @@ TEST_F(replicated_fixture, sender_rates_are_full_content_rates) {
   }
 }
 
-TEST_F(replicated_fixture, receivers_refuse_the_wrong_session_structure) {
+TEST_F(replicated_fixture, sigma_strategies_refuse_a_replicated_session) {
+  // SIGMA proves cumulative levels only: a SIGMA strategy refuses a
+  // replicated session when it attaches, at session start.
   wire(10e6);
-  auto fc = replicated_config();
-  EXPECT_THROW(flid_receiver(net_, dst, r2, fc,
-                             std::make_unique<honest_plain_strategy>()),
-               util::invariant_error);
-  fc.structure = session_structure::cumulative;
-  EXPECT_THROW(replicated_receiver(net_, dst, r2, fc), util::invariant_error);
+  const auto fc = replicated_config();
+  const auto r =
+      start_receiver(fc, std::make_unique<core::honest_sigma_strategy>());
+  EXPECT_THROW(sched_.run_until(sim::seconds(1.0)), util::invariant_error);
+}
+
+/// Honest replicated receiver that also runs the Figure-5 reconstruction on
+/// every slot summary it is handed, and checks the key against the sender.
+class key_checking_strategy : public subscription_strategy {
+ public:
+  explicit key_checking_strategy(const core::delta_layered_sender& delta)
+      : delta_(delta) {}
+
+  void session_start(flid_receiver& r) override { honest_.session_start(r); }
+
+  int on_slot(flid_receiver& r, const slot_summary& s) override {
+    const int g = s.level;
+    const int n = r.config().num_groups;
+    const core::delta_slot_keys* keys =
+        delta_.keys_for(s.slot + core::key_lead_slots);
+    const auto out = core::reconstruct_replicated(s, n);
+    if (g >= 1 && keys != nullptr) {
+      const bool lossy = !s.groups[static_cast<std::size_t>(g)].complete();
+      if (lossy && g >= 2 && out.key.has_value()) {
+        ++lossy_slots;
+        EXPECT_EQ(out.next_group, g - 1) << "slot " << s.slot;
+        EXPECT_TRUE(opens(*keys, g - 1, *out.key)) << "slot " << s.slot;
+        EXPECT_FALSE(opens(*keys, g, *out.key)) << "slot " << s.slot;
+      } else if (!lossy) {
+        ++clean_slots;
+        EXPECT_TRUE(out.key.has_value() && opens(*keys, g, *out.key) &&
+                    opens(*keys, out.next_group, *out.key))
+            << "slot " << s.slot;
+      }
+    }
+    return honest_.on_slot(r, s);
+  }
+
+  int lossy_slots = 0;
+  int clean_slots = 0;
+
+ private:
+  /// Any of group g's three keys for the slot (top, decrease, increase).
+  static bool opens(const core::delta_slot_keys& keys, int g,
+                    crypto::group_key k) {
+    const auto i = static_cast<std::size_t>(g);
+    const auto& inc = keys.increase[i];
+    return k == keys.top[i] ||
+           (g < keys.num_groups() && k == keys.decrease[i]) ||
+           (inc.has_value() && k == *inc);
+  }
+
+  const core::delta_layered_sender& delta_;
+  honest_plain_strategy honest_;
+};
+
+TEST_F(replicated_fixture, own_summaries_yield_keys_the_sender_accepts) {
+  // Behind a 300 Kbps bottleneck the receiver keeps probing group 4 and
+  // backing off, so it sees both lossy and clean slots.
+  wire(300e3);
+  const auto fc = replicated_config();
+  flid_sender sender(net_, src, fc, 1);
+  core::delta_layered_sender delta(fc.session_id, fc.num_groups, fc.key_bits,
+                                   5, session_structure::replicated);
+  sender.set_delta_hook(&delta);
+  sender.start(0);
+  auto strategy = std::make_unique<key_checking_strategy>(delta);
+  const key_checking_strategy& seen = *strategy;
+  const auto r = start_receiver(fc, std::move(strategy));
+  sched_.run_until(sim::seconds(120.0));
+  EXPECT_GT(seen.lossy_slots, 0);
+  EXPECT_GT(seen.clean_slots, 100);
 }
 
 }  // namespace

@@ -453,6 +453,60 @@ TEST(sigma_router_memory, debt_cutoff_and_tally_stay_on_their_own_port) {
   EXPECT_EQ(d.sigma().guess_tally(to_neighbour), 0u);
 }
 
+TEST(sigma_router_memory, unsubscribe_naming_an_unannounced_session_is_refused) {
+  // An unsubscribe is untrusted input. One that names a session never
+  // announced must not wipe the group's state: that wipe recorded no debt
+  // (there was no slot clock to time it with), so the rejoin after it got a
+  // fresh grace window and the adaptive_churn loophole reopened.
+  dumbbell_config cfg;
+  cfg.bottleneck_bps = 10e6;
+  cfg.probation_memory_slots = 8;
+  testbed d(dumbbell(cfg));
+  auto& session = d.add_flid_session(flid_mode::ds, {receiver_options{}});
+  const auto churner = d.attach_host("churner", "r");
+  const sim::group_addr minimal = session.config.group(1);
+  const auto send = [&](sim::header hdr) {
+    sim::packet p;
+    p.size_bytes = 20;
+    p.dst = sim::dest::to_node(d.router("r"));
+    p.hdr = std::move(hdr);
+    d.net().get(churner)->send(std::move(p));
+  };
+  const auto join = [&] {
+    send(sim::sigma_session_join{session.config.session_id, minimal});
+  };
+  slot_recorder rec;
+  d.net().get(churner)->add_agent(&rec);
+  d.net().get(churner)->host_join(minimal);
+  //   2.00  join                           -> fresh grace window
+  //   2.30  unsubscribe naming session 999 -> refused: the grace runs on
+  //                                           and ends in a cutoff
+  //   2.60  rejoin                         -> no fresh grace
+  //   2.90  unsubscribe naming the session -> the debt is remembered
+  //   3.10  rejoin                         -> inherits it: no grace either
+  d.sched().at(sim::seconds(2.0), join);
+  d.sched().at(sim::seconds(2.3),
+               [&] { send(sim::sigma_unsubscribe{999, {minimal}}); });
+  d.sched().at(sim::seconds(2.6), join);
+  d.sched().at(sim::seconds(2.9), [&] {
+    send(sim::sigma_unsubscribe{session.config.session_id, {minimal}});
+  });
+  d.sched().at(sim::seconds(3.1), join);
+  d.run_until(sim::seconds(5.0));
+
+  const auto& sg = d.sigma().stats();
+  EXPECT_GE(sg.memory_records, 1u);
+  EXPECT_GE(sg.memory_inherits, 1u);
+  // The 2.60 rejoin met the cutoff the first grace ended in, and is no
+  // fresh admission: the session's own receiver, 2.00 and 3.10 are.
+  EXPECT_GE(sg.session_joins_refused, 1u);
+  EXPECT_EQ(sg.session_joins, 3u);
+  // Only the first grace window's data reached the churner (250 ms slots:
+  // the join at 2.00 s is slot 8).
+  ASSERT_FALSE(rec.seen.empty());
+  EXPECT_LE(*rec.seen.rbegin(), 9);
+}
+
 // --- Per-slot state: what the router keeps, and what it refuses to keep ----
 
 using mcc::testing::sigma_harness;
