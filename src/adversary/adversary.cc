@@ -175,124 +175,120 @@ int ceiling(const flid::flid_receiver& r, int level) {
                    : r.config().num_groups;
 }
 
-/// inflate_once over raw IGMP (the attack of Figure 1): honest until
-/// `start`, then holds the ceiling and ignores congestion from then on. A
-/// ceiling below the level the honest phase reached sheds the excess.
-class inflate_plain_strategy : public flid::subscription_strategy {
+/// The prelude every plain attack shares: the honest decision until
+/// `start`, the attack's own target level from then on.
+class plain_attack : public flid::honest_plain_strategy {
  public:
-  inflate_plain_strategy(sim::time_ns start, int level)
-      : start_(start), level_(level) {}
+  explicit plain_attack(sim::time_ns start) : start_(start) {}
 
-  void session_start(flid::flid_receiver& r) override {
-    honest_.session_start(r);
+ protected:
+  int decide(const flid::flid_receiver& r,
+             const flid::slot_summary& s) final {
+    if (r.net().sched().now() < start_) {
+      return honest_plain_strategy::decide(r, s);
+    }
+    return attack(r, s);
   }
-
-  int on_slot(flid::flid_receiver& r, const flid::slot_summary& s) override {
-    if (r.net().sched().now() < start_) return honest_.on_slot(r, s);
-    flid::apply_plain_level(r, ceiling(r, level_));
-    return r.level();
-  }
+  /// The level to hold after `s`, once the attack is live.
+  [[nodiscard]] virtual int attack(const flid::flid_receiver& r,
+                                   const flid::slot_summary& s) = 0;
+  [[nodiscard]] sim::time_ns start() const { return start_; }
 
  private:
   sim::time_ns start_;
+};
+
+/// inflate_once over raw IGMP (the attack of Figure 1): holds the ceiling
+/// and ignores congestion. A ceiling below the level the honest phase
+/// reached sheds the excess.
+class inflate_plain_strategy : public plain_attack {
+ public:
+  inflate_plain_strategy(sim::time_ns start, int level)
+      : plain_attack(start), level_(level) {}
+
+ protected:
+  int attack(const flid::flid_receiver& r,
+             const flid::slot_summary&) override {
+    return ceiling(r, level_);
+  }
+
+ private:
   int level_;
-  flid::honest_plain_strategy honest_;
 };
 
 /// pulse_inflate over raw IGMP: inflate to the ceiling during on phases,
 /// collapse to the minimal layer at each on->off edge, then behave honestly
 /// until the next pulse.
-class pulse_plain_strategy : public flid::subscription_strategy {
+class pulse_plain_strategy : public plain_attack {
  public:
   pulse_plain_strategy(sim::time_ns start, sim::time_ns on, sim::time_ns off,
                        int level)
-      : start_(start), on_(on), off_(off), level_(level) {
+      : plain_attack(start), on_(on), off_(off), level_(level) {
     util::require(on > 0 && off > 0, "pulse_inflate: phases must be positive");
   }
 
-  void session_start(flid::flid_receiver& r) override {
-    honest_.session_start(r);
-  }
-
-  int on_slot(flid::flid_receiver& r, const flid::slot_summary& s) override {
+ protected:
+  int attack(const flid::flid_receiver& r,
+             const flid::slot_summary& s) override {
     const sim::time_ns now = r.net().sched().now();
-    if (now < start_) return honest_.on_slot(r, s);
-    const bool on_phase = (now - start_) % (on_ + off_) < on_;
-    if (on_phase) {
+    if ((now - start()) % (on_ + off_) < on_) {
       // Ignore congestion while the pulse is live; a capped ceiling sheds
       // what the honest phase climbed past it.
       was_on_ = true;
-      flid::apply_plain_level(r, ceiling(r, level_));
-      return r.level();
+      return ceiling(r, level_);
     }
     if (was_on_) {
       // On -> off edge: shed everything at once so the next pulse restarts
       // from a clean congestion window.
       was_on_ = false;
-      flid::apply_plain_level(r, 1);
       return 1;
     }
-    return honest_.on_slot(r, s);
+    return honest_plain_strategy::decide(r, s);
   }
 
  private:
-  sim::time_ns start_, on_, off_;
+  sim::time_ns on_, off_;
   int level_;
   bool was_on_ = false;
-  flid::honest_plain_strategy honest_;
 };
 
 /// churn_flap over raw IGMP: alternate every `period` slots between joining
 /// up to the flap depth and collapsing to the minimal layer.
-class churn_plain_strategy : public flid::subscription_strategy {
+class churn_plain_strategy : public plain_attack {
  public:
   churn_plain_strategy(sim::time_ns start, int period, int depth)
-      : start_(start), period_(std::max(1, period)), depth_(depth) {}
+      : plain_attack(start), period_(std::max(1, period)), depth_(depth) {}
 
-  void session_start(flid::flid_receiver& r) override {
-    honest_.session_start(r);
-  }
-
-  int on_slot(flid::flid_receiver& r, const flid::slot_summary& s) override {
-    if (r.net().sched().now() < start_) return honest_.on_slot(r, s);
+ protected:
+  int attack(const flid::flid_receiver& r,
+             const flid::slot_summary& s) override {
     if (first_slot_ < 0) first_slot_ = s.slot;
     const bool up = (s.slot - first_slot_) / period_ % 2 == 0;
-    const int level = r.level();
-    flid::apply_plain_level(r, up ? std::max(level, ceiling(r, depth_))
-                                  : std::min(level, 1));
-    return r.level();
+    return up ? std::max(r.level(), ceiling(r, depth_))
+              : std::min(r.level(), 1);
   }
 
  private:
-  sim::time_ns start_;
   int period_;
   int depth_;
   std::int64_t first_slot_ = -1;
-  flid::honest_plain_strategy honest_;
 };
 
 /// deaf_receiver over raw IGMP: keeps taking authorized upgrades but never
 /// reacts to congestion and never leaves a group.
-class deaf_plain_strategy : public flid::subscription_strategy {
+class deaf_plain_strategy : public plain_attack {
  public:
-  explicit deaf_plain_strategy(sim::time_ns start) : start_(start) {}
+  using plain_attack::plain_attack;
 
-  void session_start(flid::flid_receiver& r) override {
-    honest_.session_start(r);
-  }
-
-  int on_slot(flid::flid_receiver& r, const flid::slot_summary& s) override {
-    if (r.net().sched().now() < start_) return honest_.on_slot(r, s);
+ protected:
+  int attack(const flid::flid_receiver& r,
+             const flid::slot_summary& s) override {
     const int level = r.level();
     if (level < r.config().num_groups && s.upgrade_authorized(level + 1)) {
-      flid::apply_plain_level(r, level + 1);
+      return level + 1;
     }
-    return r.level();
+    return level;
   }
-
- private:
-  sim::time_ns start_;
-  flid::honest_plain_strategy honest_;
 };
 
 // ---------------------------------------------------------------------------
@@ -331,14 +327,15 @@ class churn_sigma_strategy : public core::honest_sigma_strategy {
   churn_sigma_strategy(sim::time_ns start, int period)
       : start_(start), period_(std::max(1, period)) {}
 
-  int on_slot(flid::flid_receiver& r, const flid::slot_summary& s) override {
-    observe_slot(r, s);
-    if (net_->sched().now() < start_) return honest_action(r, s);
+ protected:
+  core::slot_decision decide(const flid::flid_receiver& r,
+                             const flid::slot_summary& s,
+                             const core::slot_feedback& fb) override {
+    if (fb.now < start_) return honest_sigma_strategy::decide(r, s, fb);
     if (first_slot_ < 0) first_slot_ = s.slot;
     const bool up = (s.slot - first_slot_) / period_ % 2 == 0;
-    if (up) return honest_action(r, s);
-    if (r.level() > 1) set_level(r, 1);
-    return r.level();
+    if (up) return honest_sigma_strategy::decide(r, s, fb);
+    return move_to(r, std::min(r.level(), 1), r.level());
   }
 
  private:
@@ -355,10 +352,12 @@ class deaf_sigma_strategy : public core::honest_sigma_strategy {
  public:
   explicit deaf_sigma_strategy(sim::time_ns start) : start_(start) {}
 
-  int on_slot(flid::flid_receiver& r, const flid::slot_summary& s) override {
-    observe_slot(r, s);
-    if (net_->sched().now() < start_) return honest_action(r, s);
-    const flid::flid_config& cfg = r.config();
+ protected:
+  core::slot_decision decide(const flid::flid_receiver& r,
+                             const flid::slot_summary& s,
+                             const core::slot_feedback& fb) override {
+    if (fb.now < start_) return honest_sigma_strategy::decide(r, s, fb);
+    core::slot_decision d{.level = r.level()};
 
     // Reconstruct relative to the prefix actually delivered (the router's
     // grant), like every strategy must for the provable prefix not to
@@ -367,20 +366,15 @@ class deaf_sigma_strategy : public core::honest_sigma_strategy {
     if (achieved == 0) {
       // Cut off. Even a deaf client wants back in; it just never backs off.
       ++stats_.cutoff_slots;
-      if (net_->sched().now() - last_session_join_ >= cfg.slot_duration) {
-        ++stats_.cutoffs;
-        send_session_join();
-      }
-      return r.level();
+      d.rejoin = true;
+      return d;
     }
-    core::key_pairs pairs;
-    const core::delta_reconstruction rec = prove(s.at_level(achieved), pairs);
-    send_subscribe(s.slot + core::key_lead_slots, pairs);
+    const core::delta_reconstruction rec =
+        prove(s.at_level(achieved), d.pairs);
 
     // Climb when entitled, never descend, never unsubscribe.
-    const int target = std::max(r.level(), rec.next_level);
-    r.set_local_level(target);
-    return target;
+    d.level = std::max(r.level(), rec.next_level);
+    return d;
   }
 
  private:
@@ -527,15 +521,18 @@ class adaptive_churn_sigma_strategy : public core::honest_sigma_strategy {
  public:
   explicit adaptive_churn_sigma_strategy(sim::time_ns start) : start_(start) {}
 
-  int on_slot(flid::flid_receiver& r, const flid::slot_summary& s) override {
-    const core::slot_feedback fb = observe_slot(r, s);
-    if (fb.now < start_) return honest_action(r, s);
+ protected:
+  core::slot_decision decide(const flid::flid_receiver& r,
+                             const flid::slot_summary& s,
+                             const core::slot_feedback& fb) override {
+    if (fb.now < start_) return honest_sigma_strategy::decide(r, s, fb);
     const flid::flid_config& cfg = r.config();
+    core::slot_decision d{.level = r.level()};
     if (!attacking_) {
       // Entering attack mode: shed everything above the minimal group and
       // stop proving keys — from here only keyless admission is used.
       attacking_ = true;
-      if (r.level() > 1) set_level(r, 1);
+      d = move_to(r, std::min(r.level(), 1), r.level());
       grace_slots_ = 0;
     }
     if (fb.granted > 0) {
@@ -545,7 +542,7 @@ class adaptive_churn_sigma_strategy : public core::honest_sigma_strategy {
       if (grace_slots_ > core::key_lead_slots) {
         // Grace spent: the next packet would be denied and convert the
         // probation into a >= one-slot block. Wipe the state instead.
-        send_unsubscribe({cfg.group(1)});
+        d.leave.push_back(cfg.group(1));
         grace_slots_ = 0;
       }
     } else {
@@ -560,15 +557,15 @@ class adaptive_churn_sigma_strategy : public core::honest_sigma_strategy {
       }
       if (!joined_ && wait_slots_ > 0) {
         --wait_slots_;
-      } else if (fb.now - last_session_join_ >= cfg.slot_duration) {
+      } else if (may_rejoin()) {
         // Dead slot between grace windows: request fresh keyless admission,
         // rate-limited like the honest path.
-        send_session_join();
+        d.rejoin = true;
         joined_ = true;
         dead_slots_since_join_ = 0;
       }
     }
-    return r.level();
+    return d;
   }
 
  private:

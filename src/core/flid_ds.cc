@@ -150,8 +150,10 @@ void honest_sigma_strategy::send_session_join() {
   net_->get(receiver_->host())->send(std::move(p));
 }
 
-slot_feedback honest_sigma_strategy::observe_slot(flid::flid_receiver& r,
-                                                  const flid::slot_summary& s) {
+void honest_sigma_strategy::on_slot(flid::flid_receiver& r,
+                                    const flid::slot_summary& s) {
+  // Observe: the closed-loop feedback record (claimed vs granted levels),
+  // once per evaluated slot on every strategy.
   slot_feedback fb;
   fb.slot = s.slot;
   fb.now = net_->sched().now();
@@ -163,11 +165,34 @@ slot_feedback honest_sigma_strategy::observe_slot(flid::flid_receiver& r,
                    static_cast<std::uint64_t>(fb.granted));
   }
   on_feedback(fb);
-  return fb;
+  apply(r, s, decide(r, s, fb));
+}
+
+bool honest_sigma_strategy::may_rejoin() const {
+  return net_->sched().now() - last_session_join_ >=
+         receiver_->config().slot_duration;
+}
+
+void honest_sigma_strategy::apply(flid::flid_receiver& r,
+                                  const flid::slot_summary& s,
+                                  const slot_decision& d) {
+  if (d.rejoin && may_rejoin()) send_session_join();
+  send_subscribe(s.slot + key_lead_slots, d.pairs);
+  send_unsubscribe(d.leave);
+  if (d.fold >= 0) r.set_local_level(d.fold);
+  r.set_local_level(d.level);
+}
+
+slot_decision honest_sigma_strategy::move_to(const flid::flid_receiver& r,
+                                             int n, int held) const {
+  slot_decision d{.level = n};
+  for (int g = n + 1; g <= held; ++g) d.leave.push_back(r.config().group(g));
+  return d;
 }
 
 bool honest_sigma_strategy::empty_slot(const flid::flid_receiver& r,
-                                       const flid::slot_summary& s) {
+                                       const flid::slot_summary& s,
+                                       slot_decision& d) {
   const flid::flid_config& cfg = r.config();
   for (int g = 1; g <= cfg.num_groups; ++g) {
     if (s.groups[static_cast<std::size_t>(g)].received > 0) {
@@ -182,8 +207,7 @@ bool honest_sigma_strategy::empty_slot(const flid::flid_receiver& r,
   ++empty_slots_;
   if (empty_slots_ >= 2 &&
       net_->sched().now() - last_session_join_ > 2 * cfg.slot_duration) {
-    ++stats_.cutoffs;
-    send_session_join();
+    d.rejoin = true;
     empty_slots_ = 0;
   }
   return true;
@@ -200,21 +224,12 @@ delta_reconstruction honest_sigma_strategy::prove(
   return rec;
 }
 
-void honest_sigma_strategy::set_level(flid::flid_receiver& r, int n) {
-  if (n < r.level()) {
-    std::vector<sim::group_addr> dropped;
-    for (int g = n + 1; g <= r.level(); ++g) {
-      dropped.push_back(r.config().group(g));
-    }
-    send_unsubscribe(dropped);
-  }
-  r.set_local_level(n);
-}
-
-int honest_sigma_strategy::honest_action(flid::flid_receiver& r,
-                                         const flid::slot_summary& s) {
-  if (empty_slot(r, s)) return r.level();
-  if (s.level == 0) return r.level();  // partial first slot after a join
+slot_decision honest_sigma_strategy::decide(const flid::flid_receiver& r,
+                                            const flid::slot_summary& s,
+                                            const slot_feedback&) {
+  slot_decision d{.level = r.level()};
+  if (empty_slot(r, s, d)) return d;
+  if (s.level == 0) return d;  // partial first slot after a join
 
   // Groups that were subscribed for the whole slot but delivered nothing are
   // gone (the router withdrew them after an authorization lapse, or the
@@ -225,46 +240,36 @@ int honest_sigma_strategy::honest_action(flid::flid_receiver& r,
   flid::slot_summary folded;
   if (effective < s.level) {
     folded = s.at_level(effective);
-    r.set_local_level(effective);
+    d.fold = d.level = effective;
   }
-  const flid::slot_summary& eff = effective < s.level ? folded : s;
+  const flid::slot_summary& eff = d.fold >= 0 ? folded : s;
 
-  key_pairs pairs;
-  const delta_reconstruction rec = prove(eff, pairs);
+  const delta_reconstruction rec = prove(eff, d.pairs);
   if (rec.next_level == 0) {
     // Congested at the minimal level: no reconstructible keys, so the
     // current authorization lapses after slot s+1. Request keyless
     // re-admission right away; the grace window bridges the gap, and the
-    // next loss-free slot proves a fresh key (section 3.2.2).
-    ++stats_.cutoffs;
-    if (net_->sched().now() - last_session_join_ >= r.config().slot_duration) {
-      send_session_join();
-    }
-    return r.level();  // keep wanting the minimal level locally
+    // next loss-free slot proves a fresh key (section 3.2.2). Keep wanting
+    // the minimal level locally.
+    d.rejoin = true;
+    return d;
   }
 
-  // Submit the address-key pairs for slot s+2.
-  send_subscribe(s.slot + key_lead_slots, pairs);
-
   // A group joined mid-slot has not completed a full slot yet, so the
-  // reconstruction is computed relative to eff.level < level(). While
-  // uncongested, keep the pending join — its first complete slot will prove
-  // its key, and the router's new-group grace bridges the gap (Figure 2).
+  // reconstruction is computed relative to eff.level < the held level.
+  // While uncongested, keep the pending join — its first complete slot will
+  // prove its key, and the router's new-group grace bridges the gap
+  // (Figure 2).
   int target = rec.next_level;
-  if (!eff.congested && r.level() > eff.level) {
-    target = std::max(target, r.level());
+  if (!eff.congested && d.level > eff.level) {
+    target = std::max(target, d.level);
   }
 
   // Explicitly leave dropped groups for fast congestion relief (the paper's
   // unsubscription message exists exactly "to leave groups even quicker").
-  set_level(r, target);
-  return target;
-}
-
-int honest_sigma_strategy::on_slot(flid::flid_receiver& r,
-                                   const flid::slot_summary& s) {
-  observe_slot(r, s);
-  return honest_action(r, s);
+  d.leave = move_to(r, target, d.level).leave;
+  d.level = target;
+  return d;
 }
 
 // ---------------------------------------------------------------------------
@@ -284,24 +289,18 @@ bool misbehaving_sigma_strategy::attack_active() const {
   return net_->sched().now() >= inflate_at_;
 }
 
-int misbehaving_sigma_strategy::on_slot(flid::flid_receiver& r,
-                                        const flid::slot_summary& s) {
-  observe_slot(r, s);
-  if (!attack_active()) {
-    return honest_action(r, s);
-  }
-  return attack_action(r, s);
-}
-
-int misbehaving_sigma_strategy::attack_action(flid::flid_receiver& r,
-                                              const flid::slot_summary& s) {
+slot_decision misbehaving_sigma_strategy::decide(const flid::flid_receiver& r,
+                                                 const flid::slot_summary& s,
+                                                 const slot_feedback& fb) {
+  if (!attack_active()) return honest_sigma_strategy::decide(r, s, fb);
   ++attack_stats_.attack_slots;
   const flid::flid_config& cfg = r.config();
   const int n = cfg.num_groups;
 
   // The attacker wants everything; locally subscribe to all groups so any
-  // packet that leaks through is consumed.
-  r.set_local_level(n);
+  // packet that leaks through is consumed. Never unsubscribe, never
+  // decrease: the receiver ignores congestion.
+  slot_decision d{.level = n};
 
   // Best self-benefical play: reconstruct keys relative to what was actually
   // received (the router-granted subscription), not the claimed level —
@@ -311,41 +310,35 @@ int misbehaving_sigma_strategy::attack_action(flid::flid_receiver& r,
     // Fully cut off: keep hammering session-join (rate limited by router
     // blocking) and guessing.
     ++stats_.cutoff_slots;
-    if (net_->sched().now() - last_session_join_ >= cfg.slot_duration) {
-      send_session_join();
-    }
+    d.rejoin = true;
   }
 
   // Like the honest path, entitled keys carry the interface perturbation
   // when the countermeasure is on — an attacker plays the protocol
   // correctly for layers it has actually earned.
-  key_pairs pairs;
   int proven = 0;
   if (achieved > 0) {
-    const delta_reconstruction rec = prove(s.at_level(achieved), pairs);
+    const delta_reconstruction rec = prove(s.at_level(achieved), d.pairs);
     proven = rec.next_level;
     // Remember for replay (raw; perturbed on use).
     for (const auto& [g, key] : rec.keys) stale_keys_[g] = key;
-    if (proven == 0 &&
-        net_->sched().now() - last_session_join_ >= cfg.slot_duration) {
-      // Congested even at the minimal level: ride keyless re-admission like
-      // an honest receiver would.
-      send_session_join();
-    }
+    // Congested even at the minimal level: ride keyless re-admission like
+    // an honest receiver would.
+    if (proven == 0) d.rejoin = true;
   }
 
   // Inflation attempts for every group beyond the provable prefix.
   for (int g = proven + 1; g <= n; ++g) {
-    if (sidechannel_keys(g, s.slot + key_lead_slots, cfg, pairs)) continue;
+    if (sidechannel_keys(g, s.slot + key_lead_slots, cfg, d.pairs)) continue;
     if (mode_ == key_mode::replay) {
       auto it = stale_keys_.find(g);
       if (it != stale_keys_.end()) {
-        pairs.emplace_back(cfg.group(g), maybe_perturb(it->second));
+        d.pairs.emplace_back(cfg.group(g), maybe_perturb(it->second));
         ++attack_stats_.replayed_keys;
       }
     } else if (mode_ == key_mode::guess) {
       for (int i = 0; i < guesses_per_group_; ++i) {
-        pairs.emplace_back(
+        d.pairs.emplace_back(
             cfg.group(g),
             crypto::mask_to_bits(crypto::group_key{rng_.next()},
                                  cfg.key_bits));
@@ -353,9 +346,7 @@ int misbehaving_sigma_strategy::attack_action(flid::flid_receiver& r,
       }
     }
   }
-  if (!pairs.empty()) send_subscribe(s.slot + key_lead_slots, pairs);
-  // Never unsubscribe, never decrease: the receiver ignores congestion.
-  return n;
+  return d;
 }
 
 }  // namespace mcc::core

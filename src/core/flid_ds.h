@@ -57,18 +57,32 @@ struct slot_feedback {
   int granted = 0;
 };
 
-/// Honest FLID-DS receiver strategy: per evaluated slot, reconstruct keys
-/// (Figure 4), subscribe for slot s+2 with the address-key pairs, leave
-/// dropped groups explicitly, and re-enter through session-join when cut off
-/// at the minimal level.
+/// A receiver's decision for one slot (the per-slot choice DELTA/SIGMA
+/// police), which honest_sigma_strategy's apply step carries out.
+struct slot_decision {
+  int level = 0;  // local subscription level after the slot
+  /// Keys proving slot s + key_lead_slots; empty = no subscribe.
+  key_pairs pairs{};
+  std::vector<sim::group_addr> leave{};  // empty = no unsubscribe
+  bool rejoin = false;  // ask for keyless re-admission (session-join)
+  /// The granted-prefix fold: the host leaves the groups above `fold`
+  /// locally (the router withdrew them) before moving to `level`, so a
+  /// group climbed back into is a fresh join. -1 = no fold.
+  int fold = -1;
+};
+
+/// Honest FLID-DS receiver strategy and the base of every SIGMA strategy.
+/// Each slot runs observe (on_feedback) -> decide -> apply. The honest
+/// decision reconstructs keys (Figure 4), subscribes for slot s+2 with the
+/// address-key pairs, leaves dropped groups explicitly, and re-enters
+/// through session-join when cut off at the minimal level.
 class honest_sigma_strategy : public flid::subscription_strategy,
                               public sim::agent {
  public:
-  honest_sigma_strategy() = default;
   ~honest_sigma_strategy() override;
 
   void session_start(flid::flid_receiver& r) override;
-  int on_slot(flid::flid_receiver& r, const flid::slot_summary& s) override;
+  void on_slot(flid::flid_receiver& r, const flid::slot_summary& s) final;
   bool handle_packet(const sim::packet& p, sim::link* arrival) override;
 
   /// Collusion countermeasure mode: perturb reconstructed keys with the
@@ -81,7 +95,6 @@ class honest_sigma_strategy : public flid::subscription_strategy,
     std::uint64_t unsubscribes = 0;
     std::uint64_t session_joins = 0;
     std::uint64_t retransmits = 0;
-    std::uint64_t cutoffs = 0;  // congested at level 1, keys lost
     /// Evaluated slots in which nothing at all was delivered — the "slots
     /// spent cut off" term of the attacker cost accounting. Honest receivers
     /// accrue these only during blackouts/joins; attackers accrue them while
@@ -96,50 +109,62 @@ class honest_sigma_strategy : public flid::subscription_strategy,
   [[nodiscard]] const counters& stats() const { return stats_; }
 
  protected:
-  /// Shared mechanics for subclasses (the misbehaving strategy reuses the
-  /// honest machinery but lies about its subscription decisions).
   void attach(flid::flid_receiver& r);
-  /// Computes the slot's closed-loop feedback (claimed vs granted levels),
-  /// fires on_feedback, and returns the record. Every on_slot path — honest,
-  /// misbehaving, and the adaptive subclasses' own overrides — calls this
-  /// exactly once per evaluated slot, so adaptive adversaries observe the
-  /// network no matter which action path runs afterwards.
-  slot_feedback observe_slot(flid::flid_receiver& r,
-                             const flid::slot_summary& s);
-  /// Feedback hook on the strategy interface: sees every slot_feedback
-  /// record. The default does nothing; measurement-driven adversaries
-  /// (adversary::adaptive_pulse / adaptive_churn) tune their schedules here.
-  virtual void on_feedback(const slot_feedback& fb) { (void)fb; }
+  /// The decision for slot `s`, whose feedback record is `fb`; the default
+  /// is the honest one.
+  [[nodiscard]] virtual slot_decision decide(const flid::flid_receiver& r,
+                                             const flid::slot_summary& s,
+                                             const slot_feedback& fb);
+  /// Feedback hook: sees every slot's slot_feedback record before the
+  /// decision. Measurement-driven adversaries (adversary::adaptive_pulse /
+  /// adaptive_churn) tune their schedules here.
+  virtual void on_feedback(const slot_feedback&) {}
   /// Key-report hook: observes every DELTA reconstruction result (keys
   /// proving `subscribe_slot`) before submission. Adversary strategies that
-  /// pool or leak keys (collusion) tap in here; the default does nothing.
+  /// pool or leak keys (collusion) tap in here.
   virtual void on_keys_reconstructed(
-      std::int64_t subscribe_slot,
-      const std::vector<std::pair<int, crypto::group_key>>& keys) {
-    (void)subscribe_slot;
-    (void)keys;
-  }
-  void send_subscribe(std::int64_t slot, const key_pairs& pairs);
-  void send_unsubscribe(const std::vector<sim::group_addr>& groups);
-  void send_session_join();
+      std::int64_t /*subscribe_slot*/,
+      const std::vector<std::pair<int, crypto::group_key>>& /*keys*/) {}
+  /// The empty-slot step every honest decision starts with: when nothing at
+  /// all arrived over the slot, counts a cut-off slot and sets `d.rejoin`
+  /// after two such slots (and no session-join for two slot durations).
+  /// Returns whether the slot was empty.
+  bool empty_slot(const flid::flid_receiver& r, const flid::slot_summary& s,
+                  slot_decision& d);
+  /// Whether a session-join sent now passes the apply step's guard: at most
+  /// one per slot duration.
+  [[nodiscard]] bool may_rejoin() const;
   /// Proves what the edge granted: reconstructs the keys `eff` earns
   /// (Figure 4), reports them to on_keys_reconstructed, and appends their
   /// address-key pairs for slot eff.slot + key_lead_slots to `pairs`,
   /// perturbed under interface keying.
   delta_reconstruction prove(const flid::slot_summary& eff, key_pairs& pairs);
-  /// Moves the local level to `n`, unsubscribing first from the groups above
-  /// `n` it drops.
-  void set_level(flid::flid_receiver& r, int n);
-  /// The honest per-slot action; returns the new level.
-  int honest_action(flid::flid_receiver& r, const flid::slot_summary& s);
-  /// The empty-slot step every honest action starts with: when nothing at
-  /// all arrived over the slot, counts a cut-off slot and re-enters through
-  /// session-join after two such slots. Returns whether the slot was empty.
-  bool empty_slot(const flid::flid_receiver& r, const flid::slot_summary& s);
+  /// A decision to hold level `n`, unsubscribing groups n+1..held.
+  [[nodiscard]] slot_decision move_to(const flid::flid_receiver& r, int n,
+                                      int held) const;
   [[nodiscard]] crypto::group_key maybe_perturb(crypto::group_key k) const;
 
   sim::network* net_ = nullptr;
   flid::flid_receiver* receiver_ = nullptr;
+  counters stats_;
+
+ private:
+  struct pending_msg {
+    sim::packet pkt;
+    int retries_left = 2;
+    sim::event_handle timer;
+  };
+
+  /// The one step that acts on a decision, in this order: the session-join
+  /// (if may_rejoin), the subscribe, the unsubscribe, then the local level
+  /// (through the fold, when there is one).
+  void apply(flid::flid_receiver& r, const flid::slot_summary& s,
+             const slot_decision& d);
+  void send_subscribe(std::int64_t slot, const key_pairs& pairs);
+  void send_unsubscribe(const std::vector<sim::group_addr>& groups);
+  void send_session_join();
+  void arm_retransmit(std::uint64_t msg_id);
+
   std::unique_ptr<delta_layered_receiver> delta_;
   bool interface_keying_ = false;
   std::uint64_t next_msg_id_ = 1;
@@ -149,19 +174,9 @@ class honest_sigma_strategy : public flid::subscription_strategy,
   /// unless the world was built inside an obs::trace_scope.
   obs::trace_buffer* trace_ = nullptr;
   std::uint32_t trace_track_ = 0;
-
-  struct pending_msg {
-    sim::packet pkt;
-    int retries_left = 2;
-    sim::event_handle timer;
-  };
   std::map<std::uint64_t, pending_msg> pending_;
-  /// Liveness token for scheduled lambdas (retransmits, deferred rejoins).
+  /// Liveness token for the retransmit timers' lambdas.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-  counters stats_;
-
- private:
-  void arm_retransmit(std::uint64_t msg_id);
 };
 
 /// Misbehaving FLID-DS receiver: honest until `inflate_at`, then claims the
@@ -180,8 +195,6 @@ class misbehaving_sigma_strategy : public honest_sigma_strategy {
   misbehaving_sigma_strategy(sim::time_ns inflate_at, key_mode mode,
                              std::uint64_t seed, int guesses_per_group = 8);
 
-  int on_slot(flid::flid_receiver& r, const flid::slot_summary& s) override;
-
   struct attack_counters {
     std::uint64_t guessed_keys = 0;
     std::uint64_t replayed_keys = 0;
@@ -192,24 +205,23 @@ class misbehaving_sigma_strategy : public honest_sigma_strategy {
   }
 
  protected:
+  /// While attack_active(): claim everything locally and submit every key
+  /// that might stick. The honest decision otherwise.
+  slot_decision decide(const flid::flid_receiver& r,
+                       const flid::slot_summary& s,
+                       const slot_feedback& fb) final;
   /// Whether the attack is live right now. The base checks `inflate_at`;
   /// pulse-style subclasses overlay their own on/off schedule. Slots where
   /// this is false run the honest machinery (which re-proves keys, so the
   /// next active phase starts from a clean entitlement).
   [[nodiscard]] virtual bool attack_active() const;
-  /// One attacking slot: claim everything locally, submit every key that
-  /// might stick. Shared by subclasses that gate the attack differently.
-  int attack_action(flid::flid_receiver& r, const flid::slot_summary& s);
   /// Out-of-band keys for a group beyond the provable prefix (the collusion
   /// pool). Appending a pair and returning true suppresses replay/guessing
   /// for that group; the default has no side channel.
-  virtual bool sidechannel_keys(int group, std::int64_t subscribe_slot,
-                                const flid::flid_config& cfg,
-                                key_pairs& pairs) {
-    (void)group;
-    (void)subscribe_slot;
-    (void)cfg;
-    (void)pairs;
+  virtual bool sidechannel_keys(int /*group*/,
+                                std::int64_t /*subscribe_slot*/,
+                                const flid::flid_config& /*cfg*/,
+                                key_pairs& /*pairs*/) {
     return false;
   }
   [[nodiscard]] sim::time_ns inflate_at() const { return inflate_at_; }

@@ -167,14 +167,13 @@ tlm_sender_bundle make_tlm_sender(sim::network& net, sim::node_id sender_host,
 // tlm_sigma_strategy
 // ---------------------------------------------------------------------------
 
-int tlm_sigma_strategy::on_slot(flid::flid_receiver& r,
-                                const flid::slot_summary& s) {
+slot_decision tlm_sigma_strategy::decide(const flid::flid_receiver& r,
+                                         const flid::slot_summary& s,
+                                         const slot_feedback&) {
   const flid::flid_config& cfg = r.config();
-  const sim::time_ns t = cfg.slot_duration;
-
-  observe_slot(r, s);
-  if (empty_slot(r, s)) return r.level();
-  if (s.level == 0) return r.level();
+  slot_decision hold{.level = r.level()};
+  if (empty_slot(r, s, hold)) return hold;
+  if (s.level == 0) return hold;
 
   // Collect shares per level across groups 1..level (and any probed group).
   std::map<int, std::vector<crypto::shamir_share>> by_level;
@@ -213,9 +212,8 @@ int tlm_sigma_strategy::on_slot(flid::flid_receiver& r,
   }
 
   if (entitled == 0) {
-    ++stats_.cutoffs;
-    if (net_->sched().now() - last_session_join_ >= t) send_session_join();
-    return r.level();
+    hold.rejoin = true;
+    return hold;
   }
 
   // Probe upward when the slot authorized an upgrade and we fully hold our
@@ -231,9 +229,9 @@ int tlm_sigma_strategy::on_slot(flid::flid_receiver& r,
     pairs.emplace_back(cfg.group(entitled + 1), iota);
     target = entitled + 1;
   }
-  send_subscribe(s.slot + key_lead_slots, pairs);
-  set_level(r, target);
-  return target;
+  slot_decision d = move_to(r, target, r.level());
+  d.pairs = std::move(pairs);
+  return d;
 }
 
 }  // namespace mcc::core

@@ -118,13 +118,16 @@ class tlm_sigma_strategy : public honest_sigma_strategy {
  public:
   explicit tlm_sigma_strategy(threshold_config cfg) : cfg_(std::move(cfg)) {}
 
-  int on_slot(flid::flid_receiver& r, const flid::slot_summary& s) override;
-
   struct tlm_counters {
     std::uint64_t levels_reconstructed = 0;
     std::uint64_t levels_denied_by_threshold = 0;
   };
   [[nodiscard]] const tlm_counters& tlm_stats() const { return tlm_stats_; }
+
+ protected:
+  slot_decision decide(const flid::flid_receiver& r,
+                       const flid::slot_summary& s,
+                       const slot_feedback& fb) override;
 
  private:
   threshold_config cfg_;

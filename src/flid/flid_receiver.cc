@@ -211,14 +211,9 @@ void flid_receiver::evaluate_slot(std::int64_t slot) {
   if (cm_ != nullptr) apply_congestion_manager(summary);
 
   const int before = level_;
-  const int target = strategy_->on_slot(*this, summary);
-  if (target != before) {
-    if (target > before) {
-      ++stats_.upgrades;
-    } else {
-      ++stats_.downgrades;
-    }
-  }
+  strategy_->on_slot(*this, summary);
+  if (level_ > before) ++stats_.upgrades;
+  if (level_ < before) ++stats_.downgrades;
 
   records_.drop_below(slot + 1);
 }
@@ -265,14 +260,16 @@ void apply_plain_level(flid_receiver& r, int target) {
 }
 
 void honest_plain_strategy::session_start(flid_receiver& r) {
-  r.set_local_level(1);
-  r.membership().join(r.config().group(1));
+  apply_plain_level(r, 1);
 }
 
-int honest_plain_strategy::on_slot(flid_receiver& r, const slot_summary& s) {
-  const int target = honest_level_step(r.level(), r.config().num_groups, s);
-  if (target != r.level()) apply_plain_level(r, target);
-  return r.level();
+void honest_plain_strategy::on_slot(flid_receiver& r, const slot_summary& s) {
+  apply_plain_level(r, decide(r, s));
+}
+
+int honest_plain_strategy::decide(const flid_receiver& r,
+                                  const slot_summary& s) {
+  return honest_level_step(r.level(), r.config().num_groups, s);
 }
 
 }  // namespace mcc::flid

@@ -80,8 +80,8 @@ class subscription_strategy {
   virtual ~subscription_strategy() = default;
   /// Initial admission into the session.
   virtual void session_start(flid_receiver& r) = 0;
-  /// Returns the new target subscription level after evaluating `s`.
-  virtual int on_slot(flid_receiver& r, const slot_summary& s) = 0;
+  /// Decides and applies the subscription after evaluating `s`.
+  virtual void on_slot(flid_receiver& r, const slot_summary& s) = 0;
 };
 
 class flid_receiver : public sim::agent {
@@ -99,7 +99,7 @@ class flid_receiver : public sim::agent {
 
   // --- state exposed to strategies and experiments ---------------------------
   [[nodiscard]] const flid_config& config() const { return cfg_; }
-  [[nodiscard]] sim::network& net() { return net_; }
+  [[nodiscard]] sim::network& net() const { return net_; }
   [[nodiscard]] sim::node_id host() const { return host_; }
   [[nodiscard]] sim::node_id edge_router() const { return edge_router_; }
   [[nodiscard]] int level() const { return level_; }
@@ -218,13 +218,20 @@ class flid_receiver : public sim::agent {
 /// plain strategy, honest or attacking, cumulative or replicated.
 void apply_plain_level(flid_receiver& r, int target);
 
-/// Well-behaved FLID-DL receiver: drop the top layer on a lossy slot, add a
-/// layer when authorized and loss-free. In a replicated session the same law
-/// switches down or up one group.
+/// Well-behaved FLID-DL receiver and the base of every plain strategy:
+/// on_slot applies decide()'s target level through apply_plain_level. The
+/// honest decision drops the top layer on a lossy slot and adds a layer
+/// when authorized and loss-free (in a replicated session: one group down
+/// or up).
 class honest_plain_strategy : public subscription_strategy {
  public:
   void session_start(flid_receiver& r) override;
-  int on_slot(flid_receiver& r, const slot_summary& s) override;
+  void on_slot(flid_receiver& r, const slot_summary& s) final;
+
+ protected:
+  /// The level to hold after `s`.
+  [[nodiscard]] virtual int decide(const flid_receiver& r,
+                                   const slot_summary& s);
 };
 
 }  // namespace mcc::flid

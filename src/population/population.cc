@@ -222,38 +222,28 @@ std::size_t edge_aggregate::state_bytes() const {
 
 namespace {
 
-class aggregate_plain_strategy : public flid::subscription_strategy {
+class aggregate_plain_strategy : public flid::honest_plain_strategy {
  public:
   explicit aggregate_plain_strategy(edge_aggregate& agg) : agg_(agg) {}
 
   void session_start(flid::flid_receiver& r) override {
-    if (agg_.member_count() <= 0) return;  // arrivals re-admit in on_slot
-    r.set_local_level(1);
-    r.membership().join(r.config().group(1));
+    // An empty population waits: arrivals re-admit it in decide().
+    if (agg_.member_count() > 0) honest_plain_strategy::session_start(r);
   }
 
-  int on_slot(flid::flid_receiver& r, const flid::slot_summary& s) override {
+ protected:
+  int decide(const flid::flid_receiver& r,
+             const flid::slot_summary& s) override {
     agg_.on_slot({s.slot, r.net().sched().now(), s.granted(), s.congested});
     const int cap = agg_.demand_cap();
-    if (cap == 0) {
-      // Population emptied: tear the whole subscription down.
-      if (r.level() > 0) flid::apply_plain_level(r, 0);
-      return 0;
-    }
-    if (r.level() == 0) {
-      // Members returned to an emptied aggregate: re-enter at the base.
-      flid::apply_plain_level(r, 1);
-      return 1;
-    }
-    int level = r.level();
-    if (level > cap) {
-      // Churn lowered the consolidated demand below the current carry.
-      flid::apply_plain_level(r, cap);
-      level = cap;
-    }
-    const int target = flid::honest_level_step(level, cap, s);
-    if (target != level) flid::apply_plain_level(r, target);
-    return r.level();
+    // Population emptied: tear the whole subscription down.
+    if (cap == 0) return 0;
+    // Members returned to an emptied aggregate: re-enter at the base.
+    if (r.level() == 0) return 1;
+    // Churn may have lowered the consolidated demand below the current
+    // carry; the honest step runs from the capped level.
+    const int level = std::min(r.level(), cap);
+    return flid::honest_level_step(level, cap, s);
   }
 
  private:
@@ -265,27 +255,27 @@ class aggregate_sigma_strategy : public core::honest_sigma_strategy {
   explicit aggregate_sigma_strategy(edge_aggregate& agg) : agg_(agg) {}
 
   void session_start(flid::flid_receiver& r) override {
-    attach(r);
-    if (agg_.member_count() <= 0) return;  // arrivals re-admit in on_slot
-    r.set_local_level(1);
-    send_session_join();
+    if (agg_.member_count() <= 0) {
+      attach(r);  // arrivals re-admit in decide()
+      return;
+    }
+    honest_sigma_strategy::session_start(r);
     active_ = true;
   }
 
-  int on_slot(flid::flid_receiver& r, const flid::slot_summary& s) override {
-    const core::slot_feedback fb = observe_slot(r, s);
+ protected:
+  core::slot_decision decide(const flid::flid_receiver& r,
+                             const flid::slot_summary& s,
+                             const core::slot_feedback& fb) override {
     agg_.on_slot({s.slot, fb.now, fb.granted, s.congested});
     const int cap = agg_.demand_cap();
     if (cap == 0) {
-      set_level(r, 0);
       active_ = false;
-      return 0;
+      return move_to(r, 0, r.level());
     }
     if (!active_) {
-      r.set_local_level(1);
-      send_session_join();
       active_ = true;
-      return 1;
+      return {.level = 1, .rejoin = true};
     }
     // Cap the honest climb at the consolidated demand: with the upgrade
     // authorization bits above the cap cleared, reconstruct() never steps
@@ -293,13 +283,15 @@ class aggregate_sigma_strategy : public core::honest_sigma_strategy {
     // path is step-for-step the honest strategy (the conformance contract).
     flid::slot_summary capped = s;
     capped.auth_mask &= cap >= 31 ? ~0u : ((2u << cap) - 2u);
-    int target = honest_action(r, capped);
-    if (target > cap) {
-      // Churn lowered the demand below the level honest_action retained.
-      set_level(r, cap);
-      target = cap;
+    core::slot_decision d = honest_sigma_strategy::decide(r, capped, fb);
+    if (d.level > cap) {
+      // Churn lowered the demand below the level the honest step retained:
+      // leave the groups above the cap as well.
+      const core::slot_decision cut = move_to(r, cap, d.level);
+      d.leave.insert(d.leave.begin(), cut.leave.begin(), cut.leave.end());
+      d.level = cap;
     }
-    return target;
+    return d;
   }
 
  private:

@@ -183,8 +183,87 @@ TEST(flid_ds, withdrawn_group_1_is_granted_nothing_but_is_not_an_empty_slot) {
   s.groups.resize(static_cast<std::size_t>(cfg.num_groups) + 1);
   s.groups[2].received = 3;
   EXPECT_EQ(s.granted(), 0);
-  EXPECT_FALSE(strategy->empty_slot(r, s));
+  slot_decision d;
+  EXPECT_FALSE(strategy->empty_slot(r, s, d));
+  EXPECT_FALSE(d.rejoin);
   EXPECT_EQ(strategy->stats().cutoff_slots, 0u);
+}
+
+/// The honest strategy, keeping every slot summary its receiver hands it.
+struct summary_probe : honest_sigma_strategy {
+  std::vector<flid::slot_summary> seen;
+
+ protected:
+  slot_decision decide(const flid::flid_receiver& r,
+                       const flid::slot_summary& s,
+                       const slot_feedback& fb) override {
+    seen.push_back(s);
+    return honest_sigma_strategy::decide(r, s, fb);
+  }
+};
+
+TEST(flid_ds, a_regranted_group_reads_as_joined_mid_slot) {
+  // The fold: a slot that delivers a shorter prefix than the receiver holds
+  // drops the withdrawn groups locally before the proof. When the proof
+  // climbs straight back, the regranted group is a fresh join, so the next
+  // summary does not count it as held for the whole slot.
+  sim::scheduler sched;
+  sim::network net(sched);
+  const auto router = net.add_router("r");
+  const auto host = net.add_host("h");
+  net.connect(router, host, sim::link_config{});
+  net.finalize_routing();
+  const flid::flid_config cfg;
+  auto owned = std::make_unique<summary_probe>();
+  summary_probe* probe = owned.get();
+  flid::flid_receiver r(net, host, router, cfg, std::move(owned));
+  r.start(0);
+
+  // Each listed group delivers a complete slot, mid-slot, authorizing the
+  // climb to groups 2 and 3; the first packet of slot k evaluates slot k-1.
+  const sim::time_ns t = cfg.slot_duration;
+  const auto deliver = [&](std::int64_t slot, std::vector<int> groups) {
+    sched.run_until(slot * t + t / 2);
+    for (const int g : groups) {
+      for (int i = 0; i < 2; ++i) {
+        sim::flid_data hdr;
+        hdr.session_id = cfg.session_id;
+        hdr.group_index = g;
+        hdr.slot = slot;
+        hdr.seq_in_slot = i;
+        hdr.packets_in_slot = 2;
+        hdr.upgrade_auth_mask = (1u << 2) | (1u << 3);
+        sim::packet p;
+        p.size_bytes = cfg.packet_bytes;
+        p.hdr = hdr;
+        r.handle_packet(p, nullptr);
+      }
+    }
+  };
+  deliver(0, {1});
+  deliver(1, {1});        // slot 0 proves group 2: level 2
+  deliver(2, {1, 2});
+  deliver(3, {1, 2});     // slot 2 proves group 3: level 3
+  deliver(4, {1, 2, 3});
+  deliver(5, {1, 2});     // slot 4: level 3 held for the whole slot
+  deliver(6, {1, 2, 3});  // slot 5: group 3 silent, fold to 2, climb to 3
+  deliver(7, {1, 2, 3});  // slot 6: group 3 rejoined mid-slot
+
+  ASSERT_EQ(probe->seen.size(), 7u);
+  const flid::slot_summary& withdrawn = probe->seen[5];
+  EXPECT_EQ(withdrawn.level, 3);
+  EXPECT_EQ(withdrawn.granted(), 2);
+  const flid::slot_summary& after = probe->seen[6];
+  EXPECT_EQ(after.level, 2);
+  EXPECT_FALSE(after.groups[3].full_slot);
+  EXPECT_GT(after.groups[3].received, 0);
+  EXPECT_EQ(r.level(), 3);
+  // The fold leaves a level-history entry at 2 between the two 3s.
+  const auto& hist = r.level_history();
+  ASSERT_GE(hist.size(), 2u);
+  EXPECT_EQ(hist[hist.size() - 2].second, 2);
+  EXPECT_EQ(hist.back().second, 3);
+  EXPECT_EQ(hist.back().first, 6 * t + t / 2);
 }
 
 }  // namespace

@@ -161,7 +161,7 @@ class key_checking_strategy : public subscription_strategy {
 
   void session_start(flid_receiver& r) override { honest_.session_start(r); }
 
-  int on_slot(flid_receiver& r, const slot_summary& s) override {
+  void on_slot(flid_receiver& r, const slot_summary& s) override {
     const int g = s.level;
     const int n = r.config().num_groups;
     const core::delta_slot_keys* keys =
@@ -181,7 +181,7 @@ class key_checking_strategy : public subscription_strategy {
             << "slot " << s.slot;
       }
     }
-    return honest_.on_slot(r, s);
+    honest_.on_slot(r, s);
   }
 
   int lossy_slots = 0;
