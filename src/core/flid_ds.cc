@@ -176,6 +176,8 @@ bool honest_sigma_strategy::may_rejoin() const {
 void honest_sigma_strategy::apply(flid::flid_receiver& r,
                                   const flid::slot_summary& s,
                                   const slot_decision& d) {
+  util::require(!d.rejoin || d.level >= 1,
+                "SIGMA receiver: session-join at local level 0");
   if (d.rejoin && may_rejoin()) send_session_join();
   send_subscribe(s.slot + key_lead_slots, d.pairs);
   send_unsubscribe(d.leave);
@@ -235,8 +237,9 @@ slot_decision honest_sigma_strategy::decide(const flid::flid_receiver& r,
   // gone (the router withdrew them after an authorization lapse, or the
   // branch broke): without their packets no key for them can ever be proved
   // again, so fold the subscription down to the groups actually flowing and
-  // reconstruct relative to that level.
-  const int effective = std::min(s.granted(), s.level);
+  // reconstruct relative to that level. Never below the minimal group: a
+  // receiver at level 0 asks for re-admission to a group it does not hold.
+  const int effective = std::max(1, std::min(s.granted(), s.level));
   flid::slot_summary folded;
   if (effective < s.level) {
     folded = s.at_level(effective);

@@ -255,12 +255,11 @@ class aggregate_sigma_strategy : public core::honest_sigma_strategy {
   explicit aggregate_sigma_strategy(edge_aggregate& agg) : agg_(agg) {}
 
   void session_start(flid::flid_receiver& r) override {
-    if (agg_.member_count() <= 0) {
-      attach(r);  // arrivals re-admit in decide()
-      return;
+    if (agg_.member_count() > 0) {
+      honest_sigma_strategy::session_start(r);
+    } else {
+      attach(r);  // waits at level 0: arrivals re-admit it in decide()
     }
-    honest_sigma_strategy::session_start(r);
-    active_ = true;
   }
 
  protected:
@@ -269,14 +268,9 @@ class aggregate_sigma_strategy : public core::honest_sigma_strategy {
                              const core::slot_feedback& fb) override {
     agg_.on_slot({s.slot, fb.now, fb.granted, s.congested});
     const int cap = agg_.demand_cap();
-    if (cap == 0) {
-      active_ = false;
-      return move_to(r, 0, r.level());
-    }
-    if (!active_) {
-      active_ = true;
-      return {.level = 1, .rejoin = true};
-    }
+    if (cap == 0) return move_to(r, 0, r.level());
+    // Only an emptied population sits at level 0: members returned.
+    if (r.level() == 0) return {.level = 1, .rejoin = true};
     // Cap the honest climb at the consolidated demand: with the upgrade
     // authorization bits above the cap cleared, reconstruct() never steps
     // past it — and when cap == num_groups the summary is untouched, so this
@@ -296,7 +290,6 @@ class aggregate_sigma_strategy : public core::honest_sigma_strategy {
 
  private:
   edge_aggregate& agg_;
-  bool active_ = false;
 };
 
 }  // namespace

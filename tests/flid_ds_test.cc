@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "adversary/adversary.h"
+#include "exp/sweep.h"
 #include "exp/testbed.h"
 
 namespace mcc::core {
@@ -187,6 +188,64 @@ TEST(flid_ds, withdrawn_group_1_is_granted_nothing_but_is_not_an_empty_slot) {
   EXPECT_FALSE(strategy->empty_slot(r, s, d));
   EXPECT_FALSE(d.rejoin);
   EXPECT_EQ(strategy->stats().cutoff_slots, 0u);
+}
+
+TEST(flid_ds, withdrawn_group_1_leaves_the_honest_receiver_at_level_1) {
+  // The same slot through the honest step at local level 2: nothing can be
+  // proved, so the receiver asks for keyless re-admission, and keeps the
+  // minimal group that re-admission grants. Folding to level 0 instead
+  // left it out of group 1 for good.
+  sim::scheduler sched;
+  sim::network net(sched);
+  const auto router = net.add_router("r");
+  const auto host = net.add_host("h");
+  net.connect(router, host, sim::link_config{});
+  net.finalize_routing();
+  const flid::flid_config cfg;
+  auto owned = std::make_unique<honest_sigma_strategy>();
+  honest_sigma_strategy* strategy = owned.get();
+  flid::flid_receiver r(net, host, router, cfg, std::move(owned));
+  strategy->session_start(r);
+  r.set_local_level(2);
+  sched.run_until(sim::seconds(1.0));
+
+  flid::slot_summary s;
+  s.slot = 1;
+  s.level = 2;
+  s.groups.resize(static_cast<std::size_t>(cfg.num_groups) + 1);
+  s.groups[2].received = 3;
+  strategy->on_slot(r, s);
+  EXPECT_GE(r.level(), 1);
+  EXPECT_EQ(strategy->stats().session_joins, 2u);
+}
+
+/// F1's average over 20-40 s in the Figure 7 world (1 Mbps dumbbell; F1
+/// inflates at 100 s, so it is honest throughout; F2 and two TCP flows
+/// share the bottleneck), built with the testbed seed `seed`.
+double fig07_honest_f1_kbps(std::uint64_t seed) {
+  dumbbell_config cfg;
+  cfg.bottleneck_bps = 1e6;
+  cfg.seed = seed;
+  testbed d(dumbbell(cfg));
+  receiver_options attacker;
+  attacker.attack = adversary::inflate_once(sim::seconds(100.0));
+  auto& f1 = d.add_flid_session(flid_mode::ds, {attacker});
+  d.add_flid_session(flid_mode::ds, {receiver_options{}});
+  d.add_tcp_flow();
+  d.add_tcp_flow();
+  d.run_until(sim::seconds(40.0));
+  return f1.receiver().monitor().average_kbps(sim::seconds(20.0),
+                                              sim::seconds(40.0));
+}
+
+TEST(flid_ds, honest_receivers_of_fig07_stay_live) {
+  // Seeds 1 and 8 of fig07_protection: early on, F1 sees a slot in which
+  // group 1 is silent while group 2 delivers. The honest step must not
+  // lock F1 out of the session after it.
+  for (const std::uint64_t base : {1u, 8u}) {
+    EXPECT_GT(fig07_honest_f1_kbps(exp::point_seed(base, 0)), 100.0)
+        << "fig07 seed " << base;
+  }
 }
 
 /// The honest strategy, keeping every slot summary its receiver hands it.
