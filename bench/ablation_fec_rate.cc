@@ -87,10 +87,10 @@ int main(int argc, char** argv) {
                 row.value_of("decode_rate"), row.value_of("honest_kbps"));
   }
   std::cout << "# expectation: z >= 2 decodes ~every slot's block (the paper's\n"
-               "# choice). Below z = 2, decode failures cost the receiver its\n"
-               "# authorizations, which feeds back into its own traffic and\n"
-               "# join churn — so the degraded points are lossy AND unstable,\n"
-               "# not monotone in z.\n";
+               "# choice). Below z = 2 more blocks are lost to the loss on the\n"
+               "# hot bottleneck; a slot whose block is lost withholds that\n"
+               "# slot's authorizations, and the receiver re-enters through\n"
+               "# keyless session-join.\n";
   exp::write_outputs(flags, "ablation_fec_rate", rows, opts);
   return 0;
 }
