@@ -109,6 +109,7 @@ class honest_sigma_strategy : public flid::subscription_strategy,
   [[nodiscard]] const counters& stats() const { return stats_; }
 
  protected:
+  /// Binds the strategy to `r`; session_start does this first.
   void attach(flid::flid_receiver& r);
   /// The decision for slot `s`, whose feedback record is `fb`; the default
   /// is the honest one.
