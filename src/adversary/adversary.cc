@@ -335,7 +335,7 @@ class churn_sigma_strategy : public core::honest_sigma_strategy {
     if (first_slot_ < 0) first_slot_ = s.slot;
     const bool up = (s.slot - first_slot_) / period_ % 2 == 0;
     if (up) return honest_sigma_strategy::decide(r, s, fb);
-    return move_to(r, std::min(r.level(), 1), r.level());
+    return {.level = std::min(r.level(), 1), .leave = leaves(r, 1, r.level())};
   }
 
  private:
@@ -532,7 +532,7 @@ class adaptive_churn_sigma_strategy : public core::honest_sigma_strategy {
       // Entering attack mode: shed everything above the minimal group and
       // stop proving keys — from here only keyless admission is used.
       attacking_ = true;
-      d = move_to(r, std::min(r.level(), 1), r.level());
+      d = {.level = std::min(r.level(), 1), .leave = leaves(r, 1, r.level())};
       grace_slots_ = 0;
     }
     if (fb.granted > 0) {

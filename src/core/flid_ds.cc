@@ -185,11 +185,11 @@ void honest_sigma_strategy::apply(flid::flid_receiver& r,
   r.set_local_level(d.level);
 }
 
-slot_decision honest_sigma_strategy::move_to(const flid::flid_receiver& r,
-                                             int n, int held) const {
-  slot_decision d{.level = n};
-  for (int g = n + 1; g <= held; ++g) d.leave.push_back(r.config().group(g));
-  return d;
+std::vector<sim::group_addr> honest_sigma_strategy::leaves(
+    const flid::flid_receiver& r, int n, int held) {
+  std::vector<sim::group_addr> out;
+  for (int g = n + 1; g <= held; ++g) out.push_back(r.config().group(g));
+  return out;
 }
 
 bool honest_sigma_strategy::empty_slot(const flid::flid_receiver& r,
@@ -270,7 +270,7 @@ slot_decision honest_sigma_strategy::decide(const flid::flid_receiver& r,
 
   // Explicitly leave dropped groups for fast congestion relief (the paper's
   // unsubscription message exists exactly "to leave groups even quicker").
-  d.leave = move_to(r, target, d.level).leave;
+  d.leave = leaves(r, target, d.level);
   d.level = target;
   return d;
 }

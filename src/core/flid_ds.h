@@ -140,9 +140,9 @@ class honest_sigma_strategy : public flid::subscription_strategy,
   /// address-key pairs for slot eff.slot + key_lead_slots to `pairs`,
   /// perturbed under interface keying.
   delta_reconstruction prove(const flid::slot_summary& eff, key_pairs& pairs);
-  /// A decision to hold level `n`, unsubscribing groups n+1..held.
-  [[nodiscard]] slot_decision move_to(const flid::flid_receiver& r, int n,
-                                      int held) const;
+  /// The groups n+1..held, which a move from level `held` to `n` leaves.
+  [[nodiscard]] static std::vector<sim::group_addr> leaves(
+      const flid::flid_receiver& r, int n, int held);
   [[nodiscard]] crypto::group_key maybe_perturb(crypto::group_key k) const;
 
   sim::network* net_ = nullptr;

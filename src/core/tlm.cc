@@ -229,9 +229,9 @@ slot_decision tlm_sigma_strategy::decide(const flid::flid_receiver& r,
     pairs.emplace_back(cfg.group(entitled + 1), iota);
     target = entitled + 1;
   }
-  slot_decision d = move_to(r, target, r.level());
-  d.pairs = std::move(pairs);
-  return d;
+  return {.level = target,
+          .pairs = std::move(pairs),
+          .leave = leaves(r, target, r.level())};
 }
 
 }  // namespace mcc::core

@@ -268,8 +268,10 @@ class aggregate_sigma_strategy : public core::honest_sigma_strategy {
                              const core::slot_feedback& fb) override {
     agg_.on_slot({s.slot, fb.now, fb.granted, s.congested});
     const int cap = agg_.demand_cap();
-    if (cap == 0) return move_to(r, 0, r.level());
-    // Only an emptied population sits at level 0: members returned.
+    if (cap == 0) return {.level = 0, .leave = leaves(r, 0, r.level())};
+    // Only an emptied population sits at level 0: members returned. It
+    // re-enters the base with a session-join, once the guard lets one out.
+    if (r.level() == 0 && !may_rejoin()) return {};
     if (r.level() == 0) return {.level = 1, .rejoin = true};
     // Cap the honest climb at the consolidated demand: with the upgrade
     // authorization bits above the cap cleared, reconstruct() never steps
@@ -281,8 +283,8 @@ class aggregate_sigma_strategy : public core::honest_sigma_strategy {
     if (d.level > cap) {
       // Churn lowered the demand below the level the honest step retained:
       // leave the groups above the cap as well.
-      const core::slot_decision cut = move_to(r, cap, d.level);
-      d.leave.insert(d.leave.begin(), cut.leave.begin(), cut.leave.end());
+      const std::vector<sim::group_addr> cut = leaves(r, cap, d.level);
+      d.leave.insert(d.leave.begin(), cut.begin(), cut.end());
       d.level = cap;
     }
     return d;

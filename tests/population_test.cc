@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -318,6 +319,38 @@ TEST(population_testbed, adversary_and_aggregate_coexist_at_one_edge) {
   // Both parties are live: the attacker got packets and so did the members.
   EXPECT_GT(s.receiver(0).stats().packets, 0u);
   EXPECT_GT(pop.delegate->stats().packets, 0u);
+}
+
+TEST(population_testbed, emptied_sigma_aggregate_waits_at_0_and_rejoins) {
+  // A FLID-DS population with no members waits at level 0; a flash crowd
+  // re-admits it through a session-join within two slots, and the cohort's
+  // departure tears the subscription down again.
+  exp::dumbbell_config cfg;
+  cfg.seed = 4;
+  exp::testbed d(exp::dumbbell(cfg));
+  auto& s = d.add_flid_session(exp::flid_mode::ds, {});
+  exp::population_options opts;
+  opts.population.churn.flash_at = sim::seconds(5.0);
+  opts.population.churn.flash_members = 100;
+  opts.population.churn.flash_leave_at = sim::seconds(15.0);
+  auto& pop = d.add_population(s, opts);
+  d.run_until(sim::seconds(4.9));
+  EXPECT_EQ(pop.delegate->level(), 0);
+  EXPECT_EQ(pop.delegate->stats().packets, 0u);
+
+  d.run_until(sim::seconds(12.0));
+  const sim::level_timeline& h = pop.delegate->level_history();
+  const auto first_up = std::find_if(
+      h.begin(), h.end(), [](const auto& e) { return e.second >= 1; });
+  ASSERT_NE(first_up, h.end());
+  EXPECT_GE(first_up->first, sim::seconds(5.0));
+  EXPECT_LE(first_up->first,
+            sim::seconds(5.0) + 2 * pop.delegate->config().slot_duration);
+  EXPECT_GE(pop.delegate->level(), 1);
+  EXPECT_GT(pop.delegate->stats().packets, 0u);
+
+  d.run_until(sim::seconds(20.0));
+  EXPECT_EQ(pop.delegate->level(), 0);
 }
 
 TEST(population_testbed, add_population_after_run_is_rejected) {
