@@ -20,7 +20,8 @@ using namespace mcc;
 
 int main(int argc, char** argv) {
   util::flag_set flags("Key-guessing ablation: success probability vs key width");
-  flags.add("trials", "200000", "Monte Carlo trials per configuration");
+  flags.add_range("trials", "200000", "Monte Carlo trials per configuration",
+                  {.lo = 1, .integer = true});
   exp::add_sweep_flags(flags, 31);
   if (!flags.parse(argc, argv)) return 1;
 

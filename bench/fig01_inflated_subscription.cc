@@ -23,7 +23,9 @@ int main(int argc, char** argv) {
   util::flag_set flags("Figure 1: inflated subscription under FLID-DL");
   flags.add("duration", "200", "experiment length, seconds");
   flags.add("inflate_at", "100", "attack start, seconds");
-  flags.add("inflate_level", "6", "subscription level the attacker jumps to (0 = all)");
+  flags.add_range("inflate_level", "6",
+                  "subscription level the attacker jumps to (0 = all)",
+                  {.lo = 0, .integer = true});
   exp::add_sweep_flags(flags, 7);
   if (!flags.parse(argc, argv)) return 1;
   if (!exp::attack_window_ok(flags, "inflate_at")) return 1;

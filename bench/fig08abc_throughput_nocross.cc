@@ -72,7 +72,8 @@ void print_individual(const char* title, const std::vector<exp::sweep_row>& rows
 int main(int argc, char** argv) {
   util::flag_set flags("Figure 8(a)-(c): throughput vs session count, no cross traffic");
   flags.add("duration", "200", "experiment length, seconds");
-  flags.add("max_sessions", "18", "largest session count");
+  flags.add_range("max_sessions", "18", "largest session count",
+                  {.lo = 1, .integer = true});
   exp::add_sweep_flags(flags, 11);
   if (!flags.parse(argc, argv)) return 1;
 

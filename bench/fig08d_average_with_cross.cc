@@ -78,8 +78,10 @@ run_result run(exp::flid_mode mode, int sessions, double duration_s,
 int main(int argc, char** argv) {
   util::flag_set flags("Figure 8(d): average multicast throughput with cross traffic");
   flags.add("duration", "200", "experiment length, seconds");
-  flags.add("max_sessions", "18", "largest multicast session count");
-  flags.add("repeats", "3", "seeds averaged per data point");
+  flags.add_range("max_sessions", "18", "largest multicast session count",
+                  {.lo = 1, .integer = true});
+  flags.add_range("repeats", "3", "seeds averaged per data point",
+                  {.lo = 1, .integer = true});
   exp::add_aqm_flags(flags);
   exp::add_sweep_flags(flags, 13);
   if (!flags.parse(argc, argv)) return 1;

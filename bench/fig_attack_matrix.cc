@@ -138,7 +138,8 @@ int main(int argc, char** argv) {
                   {.lo = 1e-9});
   flags.add_range("pulse-off", "5", "pulse_inflate: recovery phase, seconds",
                   {.lo = 1e-9});
-  flags.add("flap-period", "1", "churn_flap: slots per phase");
+  flags.add_range("flap-period", "1", "churn_flap: slots per phase",
+                  {.lo = 1, .integer = true});
   exp::add_axis_flag(flags, "interface-keying", "both",
                      "collusion countermeasure (section 4.2)");
   exp::add_axis_flag(flags, "probation-memory", "both",

@@ -121,9 +121,10 @@ int main(int argc, char** argv) {
                   "bottleneck capacity budgeted per session (link = N x "
                   "this)",
                   {.lo = 50.0, .hi = 10e3});
-  flags.add("check-sessions", "8",
-            "the collateral-damage CHECK applies at this many sessions or "
-            "more");
+  flags.add_range("check-sessions", "8",
+                  "the collateral-damage CHECK applies at this many sessions "
+                  "or more",
+                  {.lo = 2, .integer = true});
   exp::add_axis_flag(flags, "cm", "both",
                      "shared congestion manager across co-located sessions");
   exp::add_cm_flags(flags);

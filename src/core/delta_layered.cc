@@ -5,12 +5,10 @@
 namespace mcc::core {
 
 delta_layered_sender::delta_layered_sender(int session_id, int num_groups,
-                                           int key_bits, std::uint64_t seed,
-                                           flid::session_structure structure)
+                                           int key_bits, std::uint64_t seed)
     : session_id_(session_id),
       num_groups_(num_groups),
       key_bits_(key_bits),
-      chained_(structure == flid::session_structure::cumulative),
       rng_(seed) {
   util::require(num_groups_ >= 1, "delta_layered_sender: need >= 1 group");
   util::require(key_bits_ == 16 || key_bits_ == 32 || key_bits_ == 64,
@@ -38,13 +36,10 @@ void delta_layered_sender::begin_slot(std::int64_t slot,
   keys.decrease.assign(n + 1, crypto::zero_key);
   keys.increase.assign(n + 1, std::nullopt);
 
-  // C_g <- nonce; tau_1 = C_1; tau_g = tau_{g-1} XOR C_g (Figure 4), or
-  // tau_g = C_g in a replicated session (Figure 5).
+  // C_g <- nonce; tau_1 = C_1; tau_g = tau_{g-1} XOR C_g.
   for (std::size_t g = 1; g <= n; ++g) acc_[g] = nonce();
   keys.top[1] = acc_[1];
-  for (std::size_t g = 2; g <= n; ++g) {
-    keys.top[g] = chained_ ? keys.top[g - 1] ^ acc_[g] : acc_[g];
-  }
+  for (std::size_t g = 2; g <= n; ++g) keys.top[g] = keys.top[g - 1] ^ acc_[g];
 
   // delta_{g-1} <- nonce; d_g <- delta_{g-1}   (carried by group g packets).
   for (std::size_t g = 2; g <= n; ++g) {
@@ -168,30 +163,6 @@ delta_reconstruction delta_layered_receiver::reconstruct(
   for (int j = 1; j <= n; ++j) {
     out.keys.emplace_back(j, *u[static_cast<std::size_t>(j)]);
   }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Replicated receiver (Figure 5)
-// ---------------------------------------------------------------------------
-
-replicated_reconstruction reconstruct_replicated(const flid::slot_summary& s,
-                                                 int num_groups) {
-  replicated_reconstruction out;
-  const int g = s.level;
-  if (g < 1) return out;
-  const flid::group_slot_record& rec = s.groups[static_cast<std::size_t>(g)];
-  if (!rec.complete()) {
-    // Figure 5: u_{g-1} <- decrease field from R_g; n <- g - 1 (null at g=1).
-    if (g == 1 || !rec.decrease.has_value()) return out;
-    out.next_group = g - 1;
-    out.key = rec.decrease;
-    return out;
-  }
-  // Uncongested: u_g = XOR of the component fields of group g; when an
-  // upgrade is authorized, u_{g+1} <- u_g (iota_{g+1} equals tau_g).
-  out.next_group = g < num_groups && s.upgrade_authorized(g + 1) ? g + 1 : g;
-  out.key = rec.xor_components;
   return out;
 }
 

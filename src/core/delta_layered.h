@@ -13,14 +13,6 @@
 // from decrease fields, and (3) an authorized uncongested receiver of g
 // groups obtains the key for group g+1 from its own components.
 //
-// Replicated sessions (section 3.1.2 "Session structure", Figure 5) use the
-// same algebra with per-group rather than cumulative keys: each subscription
-// level is a single group carrying the whole content at its own rate, so
-//   top key       tau_g   = XOR of the component fields of group g only
-// while decrease and increase keys are defined as above (iota_g = tau_{g-1}
-// is then the XOR of group g-1's components). One sender serves both; the
-// session structure only decides whether top keys chain.
-//
 // Keys harvested from slot-s packets control access during slot s+2
 // (Figure 2); the sender precomputes keys at slot start and generates
 // component fields in real time, so transmission patterns are unchanged.
@@ -61,14 +53,11 @@ struct delta_slot_keys {
 };
 
 /// Sender side: plugs into flid_sender as the delta_sender_hook and emits
-/// per-slot key sets to SIGMA via a callback. `structure` selects Figure 4
-/// (cumulative, chained top keys) or Figure 5 (replicated, per-group top
-/// keys); every nonce is drawn in the same order either way.
+/// per-slot key sets to SIGMA via a callback.
 class delta_layered_sender : public flid::delta_sender_hook {
  public:
-  delta_layered_sender(
-      int session_id, int num_groups, int key_bits, std::uint64_t seed,
-      flid::session_structure structure = flid::session_structure::cumulative);
+  delta_layered_sender(int session_id, int num_groups, int key_bits,
+                       std::uint64_t seed);
 
   using keys_callback =
       std::function<void(const delta_slot_keys&, std::int64_t current_slot)>;
@@ -92,7 +81,6 @@ class delta_layered_sender : public flid::delta_sender_hook {
   int session_id_;
   int num_groups_;
   int key_bits_;
-  bool chained_;  // cumulative session: tau_g = tau_{g-1} XOR C_g
   crypto::prng rng_;
   keys_callback on_keys_;
 
@@ -129,18 +117,6 @@ class delta_layered_receiver {
  private:
   int num_groups_;
 };
-
-/// Receiver algorithm of Figure 5 (replicated sessions) for one slot.
-struct replicated_reconstruction {
-  int next_group = 0;  // 0 = no keys (receiver must re-enter the session)
-  std::optional<crypto::group_key> key;  // key for next_group
-};
-
-/// A pure function of a replicated flid_receiver's slot summary: reads the
-/// record of the group held for the whole slot (s.level; none held = no
-/// keys). Its decrease field is that group's own (Figure 5).
-[[nodiscard]] replicated_reconstruction reconstruct_replicated(
-    const flid::slot_summary& s, int num_groups);
 
 }  // namespace mcc::core
 

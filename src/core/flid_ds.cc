@@ -14,8 +14,7 @@ flid_ds_sender make_flid_ds_sender(sim::network& net, sim::node_id sender_host,
   const flid::flid_config& cfg = sender.config();
   util::require(cfg.structure == flid::session_structure::cumulative,
                 "make_flid_ds_sender: replicated sessions cannot run under "
-                "DELTA/SIGMA (no SIGMA receiver strategy reconstructs "
-                "replicated keys)");
+                "DELTA/SIGMA (DELTA has no replicated key algebra)");
   flid_ds_sender out;
   out.delta = std::make_unique<delta_layered_sender>(
       cfg.session_id, cfg.num_groups, cfg.key_bits, seed);
@@ -45,7 +44,8 @@ void honest_sigma_strategy::attach(flid::flid_receiver& r) {
   // Every SIGMA strategy (honest, attacking, TLM, aggregate delegate) enters
   // here, and all of them prove cumulative levels.
   util::require(r.config().structure == flid::session_structure::cumulative,
-                "SIGMA receiver strategies need a cumulative session");
+                "SIGMA receiver strategies need a cumulative session (DELTA "
+                "has no replicated key algebra)");
   net_ = &r.net();
   receiver_ = &r;
   delta_ = std::make_unique<delta_layered_receiver>(r.config().num_groups);

@@ -33,8 +33,8 @@ struct flid_ds_sender {
 };
 
 /// Wires DELTA + SIGMA onto a flid_sender (must be called before start()).
-/// The session must be cumulative: no SIGMA receiver strategy reconstructs
-/// replicated keys.
+/// The session must be cumulative: DELTA's keys are the cumulative algebra
+/// of Figure 4, and it has none for replicated sessions.
 [[nodiscard]] flid_ds_sender make_flid_ds_sender(
     sim::network& net, sim::node_id sender_host, flid::flid_sender& sender,
     std::uint64_t seed, const sigma_emitter_config& emitter_cfg = {});

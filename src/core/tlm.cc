@@ -145,6 +145,9 @@ tlm_sender_bundle make_tlm_sender(sim::network& net, sim::node_id sender_host,
                                   std::uint64_t seed,
                                   const sigma_emitter_config& emitter_cfg) {
   const flid::flid_config& fc = sender.config();
+  util::require(fc.structure == flid::session_structure::cumulative,
+                "make_tlm_sender: replicated sessions cannot run under "
+                "DELTA/SIGMA (DELTA has no replicated key algebra)");
   util::require(thresholds.num_levels == fc.num_groups,
                 "make_tlm_sender: one threshold per group required");
   std::vector<sim::group_addr> groups;

@@ -140,6 +140,9 @@ struct tlm_sender_bundle {
   std::unique_ptr<sigma_ctrl_emitter> emitter;
 };
 
+/// Wires threshold DELTA + SIGMA onto a flid_sender (before start()). The
+/// session must be cumulative, as for make_flid_ds_sender: level g's key is
+/// shared over the packets of groups 1..g.
 [[nodiscard]] tlm_sender_bundle make_tlm_sender(
     sim::network& net, sim::node_id sender_host, flid::flid_sender& sender,
     const threshold_config& thresholds, std::uint64_t seed,

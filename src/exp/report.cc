@@ -83,16 +83,4 @@ session_rollup roll_up_sessions(const std::vector<session_sample>& sessions,
   return out;
 }
 
-void print_session_rollup(std::ostream& os, const std::string& title,
-                          const session_rollup& r) {
-  os << "# " << title << "\n";
-  for (const session_column& s : r.sessions) {
-    os << "  " << s.name << " " << std::fixed << std::setprecision(2) << s.rate
-       << "\n";
-  }
-  os << "  total " << std::fixed << std::setprecision(2) << r.total_rate
-     << "\n";
-  os << "  jain " << std::setprecision(4) << r.jain << "\n\n";
-}
-
 }  // namespace mcc::exp

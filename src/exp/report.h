@@ -67,10 +67,6 @@ struct session_rollup {
 [[nodiscard]] session_rollup roll_up_sessions(
     const std::vector<session_sample>& sessions, double smooth_weight = 0.3);
 
-/// Prints the roll-up: one "name rate" row per session, then total and Jain.
-void print_session_rollup(std::ostream& os, const std::string& title,
-                          const session_rollup& r);
-
 }  // namespace mcc::exp
 
 #endif  // MCC_EXP_REPORT_H

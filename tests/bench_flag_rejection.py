@@ -22,6 +22,12 @@ CASES = [
     ("fig07_protection", ["--attack-keys=guessing"], "attack-keys"),
     ("fig07_protection", ["--duration=50", "--inflate_at=45"],
      "duration/--inflate_at"),
+    ("fig_attack_matrix", ["--flap-period=2.5"], "flap-period"),
+    ("fig08abc_throughput_nocross", ["--max_sessions=0"], "max_sessions"),
+    ("fig08d_average_with_cross", ["--repeats=1.5"], "repeats"),
+    ("fig_session_farm", ["--check-sessions=2.5"], "check-sessions"),
+    ("fig01_inflated_subscription", ["--inflate_level=1.5"], "inflate_level"),
+    ("ablation_key_guessing", ["--trials=2.5"], "trials"),
 ]
 
 MAX_WALL_S = 1.0

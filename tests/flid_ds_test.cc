@@ -29,8 +29,8 @@ TEST(flid_ds, sender_bundle_wires_hook_and_tagging) {
 }
 
 TEST(flid_ds, replicated_session_is_refused) {
-  // No SIGMA receiver strategy reconstructs replicated keys, so a protected
-  // replicated session would emit keys that no receiver ever submits.
+  // DELTA's keys are the cumulative algebra of Figure 4; it has none for a
+  // replicated session.
   sim::scheduler sched;
   sim::network net(sched);
   const auto src = net.add_host("src");

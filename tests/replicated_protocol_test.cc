@@ -1,12 +1,10 @@
 // In-simulator tests for the replicated multicast protocol (one group at a
 // time, switch down on loss, switch up on authorization): flid_receiver with
-// the honest plain strategy on a replicated session, and the Figure-5 DELTA
-// keys reconstructed from that receiver's own slot summaries.
+// the honest plain strategy on a replicated session.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "core/delta_layered.h"
 #include "core/flid_ds.h"
 #include "flid/flid_receiver.h"
 #include "flid/flid_sender.h"
@@ -150,74 +148,6 @@ TEST_F(replicated_fixture, sigma_strategies_refuse_a_replicated_session) {
   const auto r =
       start_receiver(fc, std::make_unique<core::honest_sigma_strategy>());
   EXPECT_THROW(sched_.run_until(sim::seconds(1.0)), util::invariant_error);
-}
-
-/// Honest replicated receiver that also runs the Figure-5 reconstruction on
-/// every slot summary it is handed, and checks the key against the sender.
-class key_checking_strategy : public subscription_strategy {
- public:
-  explicit key_checking_strategy(const core::delta_layered_sender& delta)
-      : delta_(delta) {}
-
-  void session_start(flid_receiver& r) override { honest_.session_start(r); }
-
-  void on_slot(flid_receiver& r, const slot_summary& s) override {
-    const int g = s.level;
-    const int n = r.config().num_groups;
-    const core::delta_slot_keys* keys =
-        delta_.keys_for(s.slot + core::key_lead_slots);
-    const auto out = core::reconstruct_replicated(s, n);
-    if (g >= 1 && keys != nullptr) {
-      const bool lossy = !s.groups[static_cast<std::size_t>(g)].complete();
-      if (lossy && g >= 2 && out.key.has_value()) {
-        ++lossy_slots;
-        EXPECT_EQ(out.next_group, g - 1) << "slot " << s.slot;
-        EXPECT_TRUE(opens(*keys, g - 1, *out.key)) << "slot " << s.slot;
-        EXPECT_FALSE(opens(*keys, g, *out.key)) << "slot " << s.slot;
-      } else if (!lossy) {
-        ++clean_slots;
-        EXPECT_TRUE(out.key.has_value() && opens(*keys, g, *out.key) &&
-                    opens(*keys, out.next_group, *out.key))
-            << "slot " << s.slot;
-      }
-    }
-    honest_.on_slot(r, s);
-  }
-
-  int lossy_slots = 0;
-  int clean_slots = 0;
-
- private:
-  /// Any of group g's three keys for the slot (top, decrease, increase).
-  static bool opens(const core::delta_slot_keys& keys, int g,
-                    crypto::group_key k) {
-    const auto i = static_cast<std::size_t>(g);
-    const auto& inc = keys.increase[i];
-    return k == keys.top[i] ||
-           (g < keys.num_groups() && k == keys.decrease[i]) ||
-           (inc.has_value() && k == *inc);
-  }
-
-  const core::delta_layered_sender& delta_;
-  honest_plain_strategy honest_;
-};
-
-TEST_F(replicated_fixture, own_summaries_yield_keys_the_sender_accepts) {
-  // Behind a 300 Kbps bottleneck the receiver keeps probing group 4 and
-  // backing off, so it sees both lossy and clean slots.
-  wire(300e3);
-  const auto fc = replicated_config();
-  flid_sender sender(net_, src, fc, 1);
-  core::delta_layered_sender delta(fc.session_id, fc.num_groups, fc.key_bits,
-                                   5, session_structure::replicated);
-  sender.set_delta_hook(&delta);
-  sender.start(0);
-  auto strategy = std::make_unique<key_checking_strategy>(delta);
-  const key_checking_strategy& seen = *strategy;
-  const auto r = start_receiver(fc, std::move(strategy));
-  sched_.run_until(sim::seconds(120.0));
-  EXPECT_GT(seen.lossy_slots, 0);
-  EXPECT_GT(seen.clean_slots, 100);
 }
 
 }  // namespace

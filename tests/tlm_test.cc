@@ -7,6 +7,7 @@
 
 #include "exp/testbed.h"
 #include "traffic/cbr.h"
+#include "util/require.h"
 
 namespace mcc::core {
 namespace {
@@ -164,6 +165,24 @@ TEST(tlm, shares_of_one_level_do_not_open_another) {
   EXPECT_EQ(crypto::mask_to_bits(*k1, 16), *delta.key_for(2, 1));
   EXPECT_NE(crypto::mask_to_bits(*k1, 16), *delta.key_for(2, 2));
   EXPECT_NE(crypto::mask_to_bits(*k1, 16), *delta.key_for(2, 3));
+}
+
+TEST(tlm, replicated_session_is_refused) {
+  // Level g's key is shared over the packets of groups 1..g, which a
+  // replicated receiver never holds together: the sender refuses the session
+  // at construction, as make_flid_ds_sender does.
+  sim::scheduler sched;
+  sim::network net(sched);
+  const auto src = net.add_host("src");
+  const auto dst = net.add_host("dst");
+  net.connect(src, dst, sim::link_config{});
+  net.finalize_routing();
+  flid::flid_config fc;
+  fc.structure = flid::session_structure::replicated;
+  flid::flid_sender sender(net, src, fc, 1);
+  const auto thresholds = threshold_config::uniform(fc.num_groups, 0.25);
+  EXPECT_THROW((void)make_tlm_sender(net, src, sender, thresholds, 1),
+               util::invariant_error);
 }
 
 /// A TLM strategy that counts the closed-loop feedback records it sees.
