@@ -135,9 +135,4 @@ double memory_block_rate(const core::sigma_router_agent::counters& edge) {
   return static_cast<double>(hits) / static_cast<double>(attempts);
 }
 
-void attach_router_memory(containment_report& rep,
-                          const core::sigma_router_agent::counters& edge) {
-  rep.fp_block_rate = memory_block_rate(edge);
-}
-
 }  // namespace mcc::adversary

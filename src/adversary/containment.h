@@ -97,13 +97,6 @@ struct containment_report {
   /// floods pay per pair and rank below sparse replays here even when their
   /// message counts match. Set by attach_cost.
   double profit_kbps_per_kb = 0.0;
-  /// False-positive price of router probation memory at this cell's edge:
-  /// the fraction of admission attempts that hit a remembered debt —
-  /// (memory_refusals + memory_inherits) / (session_joins + memory_refusals).
-  /// On an honest edge this is the honest leave/rejoin false-positive block
-  /// rate the ROADMAP insisted on pricing; 0 while the memory is off. Set by
-  /// attach_router_memory.
-  double fp_block_rate = 0.0;
 };
 
 /// Computes the report for one attacker against a set of honest monitors
@@ -139,14 +132,11 @@ void attach_cost(containment_report& rep, const attacker_cost& cost);
 
 /// The probation-memory hit rate of one edge router's counters:
 /// (memory_refusals + memory_inherits) / (session_joins + memory_refusals),
-/// 0 when the edge saw no admission attempts (or the memory is off).
+/// 0 when the edge saw no admission attempts (or the memory is off). On an
+/// honest edge this is the false-positive price of probation memory, the
+/// `fp_block_rate` row value of fig_flash_crowd.
 [[nodiscard]] double memory_block_rate(
     const core::sigma_router_agent::counters& edge);
-
-/// Folds an edge router's probation-memory counters into a report's
-/// fp_block_rate.
-void attach_router_memory(containment_report& rep,
-                          const core::sigma_router_agent::counters& edge);
 
 }  // namespace mcc::adversary
 

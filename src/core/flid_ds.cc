@@ -7,6 +7,11 @@
 
 namespace mcc::core {
 
+namespace {
+/// Random keys a guessing attacker submits per unproven group per slot.
+constexpr int guesses_per_unproven_group = 8;
+}  // namespace
+
 flid_ds_sender make_flid_ds_sender(sim::network& net, sim::node_id sender_host,
                                    flid::flid_sender& sender,
                                    std::uint64_t seed,
@@ -281,12 +286,8 @@ slot_decision honest_sigma_strategy::decide(const flid::flid_receiver& r,
 
 misbehaving_sigma_strategy::misbehaving_sigma_strategy(sim::time_ns inflate_at,
                                                        key_mode mode,
-                                                       std::uint64_t seed,
-                                                       int guesses_per_group)
-    : inflate_at_(inflate_at),
-      mode_(mode),
-      rng_(seed),
-      guesses_per_group_(guesses_per_group) {}
+                                                       std::uint64_t seed)
+    : inflate_at_(inflate_at), mode_(mode), rng_(seed) {}
 
 bool misbehaving_sigma_strategy::attack_active() const {
   return net_->sched().now() >= inflate_at_;
@@ -340,7 +341,7 @@ slot_decision misbehaving_sigma_strategy::decide(const flid::flid_receiver& r,
         ++attack_stats_.replayed_keys;
       }
     } else if (mode_ == key_mode::guess) {
-      for (int i = 0; i < guesses_per_group_; ++i) {
+      for (int i = 0; i < guesses_per_unproven_group; ++i) {
         d.pairs.emplace_back(
             cfg.group(g),
             crypto::mask_to_bits(crypto::group_key{rng_.next()},

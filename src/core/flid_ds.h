@@ -190,11 +190,11 @@ class misbehaving_sigma_strategy : public honest_sigma_strategy {
   enum class key_mode {
     best_effort,  // submit only honestly reconstructible keys
     replay,       // add stale keys remembered from earlier slots
-    guess,        // add random keys for unproven groups
+    guess,        // add 8 random keys per unproven group
   };
 
   misbehaving_sigma_strategy(sim::time_ns inflate_at, key_mode mode,
-                             std::uint64_t seed, int guesses_per_group = 8);
+                             std::uint64_t seed);
 
   struct attack_counters {
     std::uint64_t guessed_keys = 0;
@@ -231,7 +231,6 @@ class misbehaving_sigma_strategy : public honest_sigma_strategy {
   sim::time_ns inflate_at_;
   key_mode mode_;
   crypto::prng rng_;
-  int guesses_per_group_;
   // Last key successfully reconstructed per group (for replay).
   std::map<int, crypto::group_key> stale_keys_;
   attack_counters attack_stats_;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "crypto/oneway.h"
-#include "util/logging.h"
 
 namespace mcc::core {
 
@@ -423,7 +422,7 @@ void sigma_router_agent::on_session_join(const sim::sigma_session_join& msg,
 // Data-plane enforcement
 // ---------------------------------------------------------------------------
 
-bool sigma_router_agent::allow(sim::packet& p, sim::link* oif) {
+bool sigma_router_agent::allow(const sim::packet& p, sim::link* oif) {
   if (!p.dst.is_multicast()) return true;
   const sim::group_addr group = p.dst.group();
   if (!net_.is_sigma_protected(group)) return true;  // not ours to guard
@@ -464,14 +463,6 @@ bool sigma_router_agent::allow(sim::packet& p, sim::link* oif) {
       ++stats_.grace_forwards;
     } else {
       ++stats_.authorized_forwards;
-    }
-    if (ecn_scrub_ && p.ecn_marked) {
-      if (auto* hdr = sim::header_as<sim::flid_data>(p)) {
-        // Invalidate the component so ineligible receivers cannot
-        // reconstruct the group key from marked packets (section 3.1.2).
-        hdr->component = crypto::group_key{crypto::oneway_mix(p.uid)};
-        hdr->component_scrubbed = true;
-      }
     }
     return true;
   }

@@ -15,9 +15,10 @@
 //
 // Enforcement reads only the protocol-independent shim tag (session, slot)
 // and SIGMA's own messages — never the congestion-control headers
-// (Requirement 3). The optional ECN mode scrubs component fields of marked
-// packets (section 3.1.2), and the optional collusion countermeasure
-// perturbs forwarded components per interface (section 4.2).
+// (Requirement 3). The agent never rewrites a packet: the section 3.1.2 ECN
+// scrub is modelled at the receiver (flid_receiver keeps a marked packet's
+// component out of the key), and the optional collusion countermeasure
+// (section 4.2) perturbs keys at validation, not forwarded components.
 #ifndef MCC_CORE_SIGMA_ROUTER_H
 #define MCC_CORE_SIGMA_ROUTER_H
 
@@ -45,11 +46,8 @@ class sigma_router_agent : public sim::agent, public sim::access_policy {
                      mcast::igmp_agent& tree);
 
   bool handle_packet(const sim::packet& p, sim::link* arrival) override;
-  bool allow(sim::packet& p, sim::link* oif) override;
+  bool allow(const sim::packet& p, sim::link* oif) override;
 
-  /// DELTA ECN variant: invalidate component fields of ECN-marked packets
-  /// before they reach receivers.
-  void set_ecn_scrub(bool on) { ecn_scrub_ = on; }
   /// Collusion countermeasure of section 4.2 (interface-specific key
   /// perturbation). Off by default; switched per scenario via
   /// exp::testbed_config::interface_keying, which also flips every SIGMA
@@ -213,7 +211,6 @@ class sigma_router_agent : public sim::agent, public sim::access_policy {
   sim::network& net_;
   sim::node_id router_;
   mcast::igmp_agent& tree_;
-  bool ecn_scrub_ = false;
   bool interface_keying_ = false;
   int probation_memory_slots_ = 0;
   std::map<int, session_state> sessions_;

@@ -188,9 +188,11 @@ slot_decision tlm_sigma_strategy::decide(const flid::flid_receiver& r,
 
   // Highest level with a reconstructible key. n_g (and so k_g) derives from
   // the advertised per-group packet counts; a group with no packets at all
-  // caps reconstruction below it.
+  // caps reconstruction below it. Submitted keys carry the interface
+  // perturbation when the collusion countermeasure is on.
   key_pairs pairs;
   int entitled = 0;
+  crypto::group_key top{};  // raw kappa_entitled
   std::int64_t n_cum = 0;
   for (int g = 1; g <= std::min(r.level() + 1, cfg.num_groups); ++g) {
     const auto& rec = s.groups[static_cast<std::size_t>(g)];
@@ -209,8 +211,8 @@ slot_decision tlm_sigma_strategy::decide(const flid::flid_receiver& r,
         {shares->second.data(), shares->second.size()}, k);
     if (!key.has_value()) break;
     ++tlm_stats_.levels_reconstructed;
-    pairs.emplace_back(cfg.group(g),
-                       crypto::mask_to_bits(*key, cfg_.key_bits));
+    top = crypto::mask_to_bits(*key, cfg_.key_bits);
+    pairs.emplace_back(cfg.group(g), maybe_perturb(top));
     entitled = g;
   }
 
@@ -221,15 +223,14 @@ slot_decision tlm_sigma_strategy::decide(const flid::flid_receiver& r,
 
   // Probe upward when the slot authorized an upgrade and we fully hold our
   // current level (RLM's join experiment): the increase key for level g+1 is
-  // derived one-way from kappa_g, which we just reconstructed.
+  // derived one-way from the raw kappa_g we just reconstructed (the router
+  // perturbs the increase key itself, so perturb only the derived key).
   int target = entitled;
   if (entitled >= r.level() && entitled < cfg.num_groups &&
       s.upgrade_authorized(entitled + 1)) {
     const crypto::group_key iota = crypto::mask_to_bits(
-        crypto::group_key{crypto::oneway_mix(
-            pairs.back().second.value)},
-        cfg_.key_bits);
-    pairs.emplace_back(cfg.group(entitled + 1), iota);
+        crypto::group_key{crypto::oneway_mix(top.value)}, cfg_.key_bits);
+    pairs.emplace_back(cfg.group(entitled + 1), maybe_perturb(iota));
     target = entitled + 1;
   }
   return {.level = target,

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <limits>
@@ -15,7 +14,6 @@
 
 #include "crypto/prng.h"
 #include "obs/trace.h"
-#include "util/logging.h"
 #include "util/require.h"
 
 namespace mcc::exp {
@@ -36,28 +34,16 @@ void add_sweep_flags(util::flag_set& flags,
                     {.integer = true});
   }
   flags.add_range("jobs", "1", "worker threads for the parameter grid",
-                  {.integer = true});
+                  {.lo = 1, .integer = true});
   flags.add("json", "", "also write machine-readable results to this file");
   flags.add("trace", "",
             "write the deterministic event trace to this file (convert with "
             "tools/trace2perfetto.py)");
   flags.add("profile", "false",
             "add a wall-clock self-profiling block to the --json document");
-  flags.add_enum("log-level", "",
-                 "log threshold (default: MCC_LOG_LEVEL env, else warn)",
-                 {"", "debug", "info", "warn", "error", "off"});
 }
 
 sweep_options sweep_options_from_flags(const util::flag_set& flags) {
-  // Env fallback first, then the flag on top — an explicit --log-level wins.
-  if (const auto bad_env = util::apply_log_level_env()) {
-    std::fprintf(stderr, "bad MCC_LOG_LEVEL value '%s' (expected one of "
-                 "debug, info, warn, error, off)\n", bad_env->c_str());
-    std::exit(1);
-  }
-  if (const std::string level = flags.str("log-level"); !level.empty()) {
-    util::set_log_level(*util::log_level_from_name(level));
-  }
   sweep_options opts;
   opts.jobs = static_cast<int>(flags.i64("jobs"));
   opts.base_seed =

@@ -75,23 +75,18 @@ struct sweep_options {
 /// Registers the sweep-standard flags on a bench's flag set:
 ///   --seed N        base seed of the grid (an integer; declared only when
 ///                   `default_seed` is given — analytic benches have none)
-///   --jobs N        worker threads for the parameter grid
+///   --jobs N        worker threads for the parameter grid (an integer >= 1)
 ///   --json PATH     also write machine-readable results to PATH
 ///   --trace PATH    write the deterministic event trace to PATH
 ///                   (convert with tools/trace2perfetto.py)
 ///   --profile BOOL  add a wall-clock self-profiling block to --json (off by
 ///                   default: wall clock is environment noise, and CI cmp's
 ///                   BENCH files byte-for-byte)
-///   --log-level L   debug|info|warn|error|off; empty (the default) falls
-///                   back to MCC_LOG_LEVEL, else keeps "warn"
 void add_sweep_flags(util::flag_set& flags,
                      std::optional<std::int64_t> default_seed);
 
 /// Reads the standard flags back (--seed, --jobs, --trace, --profile; the
-/// base seed is 0 without --seed). Also applies --log-level (flag wins over
-/// the MCC_LOG_LEVEL env fallback) to util::set_log_level; a bad
-/// MCC_LOG_LEVEL prints a friendly message and exits(1), like a bad flag
-/// value (bench-main glue).
+/// base seed is 0 without --seed).
 [[nodiscard]] sweep_options sweep_options_from_flags(
     const util::flag_set& flags);
 

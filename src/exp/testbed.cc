@@ -187,7 +187,7 @@ flid_session& testbed::add_flid_session(
     session->ds = core::make_flid_ds_sender(net_, session->sender_host,
                                             *session->sender, next_seed());
   }
-  session->sender->start(opts.sender_start);
+  session->sender->start(0);
 
   // Strategies are compiled from adversary profiles. The build context's
   // seed source is the testbed seed chain: the factory draws only for

@@ -70,7 +70,6 @@ struct population_options {
 
 /// Per-session placement.
 struct session_options {
-  sim::time_ns sender_start = 0;
   /// Router the sender host attaches to; empty = default sender site.
   std::string sender_at;
 };

@@ -96,7 +96,10 @@ bool flid_receiver::handle_packet(const sim::packet& p, sim::link*) {
   auto& rec = slot.groups[static_cast<std::size_t>(g)];
   ++rec.received;
   rec.expected = hdr->packets_in_slot;
-  if (hdr->component_scrubbed || p.ecn_marked) {
+  // The one model of the section 3.1.2 ECN scrub: a marked packet's
+  // component never enters the XOR, so the group cannot prove a key this
+  // slot. Routers forward components unchanged.
+  if (p.ecn_marked) {
     rec.scrubbed = true;
   } else {
     rec.xor_components ^= hdr->component;

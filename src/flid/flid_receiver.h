@@ -35,7 +35,7 @@ struct group_slot_record {
   bool full_slot = false;  // subscribed for the entire slot
   crypto::group_key xor_components{};
   std::optional<crypto::group_key> decrease;
-  bool scrubbed = false;  // a component was invalidated (ECN variant)
+  bool scrubbed = false;  // a packet arrived ECN-marked; its component is out
   /// Shamir shares collected from this group's packets (threshold protocols
   /// only; empty under XOR-based DELTA).
   std::vector<sim::level_share> shares;

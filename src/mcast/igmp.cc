@@ -1,7 +1,5 @@
 #include "mcast/igmp.h"
 
-#include "util/logging.h"
-
 namespace mcc::mcast {
 
 igmp_agent::igmp_agent(sim::network& net, sim::node_id router)

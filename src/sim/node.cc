@@ -107,7 +107,7 @@ void node::deliver_local(const packet& p, link* from) {
   }
 }
 
-void node::forward(packet& p, link* from) {
+void node::forward(const packet& p, link* from) {
   const oif_list* out = oifs(p.dst.group());
   if (out == nullptr) return;
   // Copy the oif list (into a reused scratch buffer: no per-packet
@@ -117,15 +117,8 @@ void node::forward(packet& p, link* from) {
     if (oif == nullptr || (from != nullptr && oif == from->reverse())) continue;
     if (oif->to()->is_host()) {
       if (p.router_alert) continue;  // never deliver special packets to hosts
-      if (policy_ != nullptr) {
-        // The policy may mutate its branch's copy.
-        packet branch_copy = p;
-        if (!policy_->allow(branch_copy, oif)) {
-          ++stats_.policy_denied;
-          continue;
-        }
-        ++stats_.forwarded_multicast;
-        oif->transmit(std::move(branch_copy));
+      if (policy_ != nullptr && !policy_->allow(p, oif)) {
+        ++stats_.policy_denied;
         continue;
       }
     }

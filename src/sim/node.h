@@ -28,12 +28,11 @@ class agent {
 
 /// Decides whether a multicast data packet may be forwarded onto a
 /// host-facing interface of an edge router (SIGMA implements this). The
-/// packet reference is the per-branch copy: the policy may mutate it (the
-/// DELTA ECN variant scrubs component fields of marked packets).
+/// policy only decides: every branch carries the packet as it arrived.
 class access_policy {
  public:
   virtual ~access_policy() = default;
-  virtual bool allow(packet& p, link* oif) = 0;
+  virtual bool allow(const packet& p, link* oif) = 0;
 };
 
 class node {
@@ -104,7 +103,7 @@ class node {
 
  private:
   void deliver_local(const packet& p, link* from);
-  void forward(packet& p, link* from);
+  void forward(const packet& p, link* from);
 
   network& net_;
   node_id id_;

@@ -128,9 +128,10 @@ struct flid_data {
   /// Bit g set = the protocol authorizes an upgrade to group g this slot
   /// (bit 1 is group 1; bit 0 unused).
   std::uint32_t upgrade_auth_mask = 0;
-  crypto::group_key component;  // c_{g,p}
-  crypto::group_key decrease;   // d_g = delta_{g-1}; meaningful for g >= 2
-  bool component_scrubbed = false;  // ECN mode: router invalidated component
+  /// c_{g,p}. Carried unchanged end to end: a receiver leaves an
+  /// ECN-marked packet's component out of the key (section 3.1.2).
+  crypto::group_key component;
+  crypto::group_key decrease;  // d_g = delta_{g-1}; meaningful for g >= 2
   /// Threshold-DELTA share payload: one share of each level the packet's
   /// group belongs to (empty for XOR-based DELTA; the per-packet size cost
   /// is the overhead the paper calls out for threshold schemes).
@@ -224,13 +225,9 @@ struct packet {
   header hdr;
 };
 
-/// Convenience accessors.
+/// The packet's header as a T, or null if it carries another kind.
 template <typename T>
 [[nodiscard]] const T* header_as(const packet& p) {
-  return std::get_if<T>(&p.hdr);
-}
-template <typename T>
-[[nodiscard]] T* header_as(packet& p) {
   return std::get_if<T>(&p.hdr);
 }
 

@@ -28,6 +28,7 @@ CASES = [
     ("fig_session_farm", ["--check-sessions=2.5"], "check-sessions"),
     ("fig01_inflated_subscription", ["--inflate_level=1.5"], "inflate_level"),
     ("ablation_key_guessing", ["--trials=2.5"], "trials"),
+    ("ablation_threshold_overhead", ["--jobs=0"], "jobs"),
 ]
 
 MAX_WALL_S = 1.0

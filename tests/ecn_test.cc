@@ -1,8 +1,11 @@
 // DELTA ECN variant (paper section 3.1.2, "Congestion notification"):
-// with an ECN-marking bottleneck, the edge router scrubs the component
-// fields of marked packets so ineligible receivers cannot reconstruct group
-// keys from them, and honest receivers treat marks as congestion.
+// with an ECN-marking bottleneck, a receiver treats a marked packet as
+// congestion and leaves its component out of the key, so a marked group
+// cannot prove a key that slot (the scrub, modelled at the receiver).
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
 
 #include "exp/testbed.h"
 
@@ -15,19 +18,7 @@ using exp::dumbbell_config;
 using exp::flid_mode;
 using exp::receiver_options;
 
-/// Dumbbell with an ECN-threshold bottleneck queue.
-std::unique_ptr<testbed> make_ecn_dumbbell(double bps, std::uint64_t seed) {
-  dumbbell_config cfg;
-  cfg.bottleneck_bps = bps;
-  cfg.seed = seed;
-  auto d = std::make_unique<testbed>(dumbbell(cfg));
-  // Rebuilding the link config is not exposed; instead we exercise the
-  // marking path through a dedicated topology below. This helper keeps the
-  // droptail default for comparison runs.
-  return d;
-}
-
-TEST(ecn, marked_packets_are_scrubbed_at_the_edge) {
+TEST(ecn, marks_hold_an_honest_receiver_near_the_bottleneck_rate) {
   // Build a small topology with an ECN bottleneck directly.
   sim::scheduler sched;
   sim::network net(sched);
@@ -50,7 +41,6 @@ TEST(ecn, marked_packets_are_scrubbed_at_the_edge) {
 
   mcast::igmp_agent igmp(net, r2);
   sigma_router_agent sigma(net, r2, igmp);
-  sigma.set_ecn_scrub(true);
 
   flid::flid_config fc;
   fc.session_id = 3;
@@ -81,50 +71,93 @@ TEST(ecn, marked_packets_are_scrubbed_at_the_edge) {
   EXPECT_LT(kbps, 330.0);
 }
 
-TEST(ecn, scrubbed_components_invalidate_key_reconstruction) {
-  // Unit-level: a summary whose top group has a scrubbed component cannot
-  // produce that group's key, even with zero losses.
-  delta_layered_sender sender(1, 4, 64, 9);
-  delta_layered_receiver receiver(4);
-  std::vector<int> counts = {0, 4, 4, 4, 4};
-  sender.begin_slot(0, 0, counts);
+/// Joins `level` groups at session start, then only records the slots the
+/// receiver evaluates.
+class summary_recorder : public flid::subscription_strategy {
+ public:
+  summary_recorder(int level, std::vector<flid::slot_summary>& out)
+      : level_(level), out_(out) {}
+  void session_start(flid::flid_receiver& r) override {
+    r.set_local_level(level_);
+  }
+  void on_slot(flid::flid_receiver&, const flid::slot_summary& s) override {
+    out_.push_back(s);
+  }
 
-  flid::slot_summary s;
-  s.slot = 0;
-  s.level = 3;
-  s.groups.assign(5, {});
-  for (int g = 1; g <= 4; ++g) {
-    auto& rec = s.groups[static_cast<std::size_t>(g)];
-    rec.full_slot = (g <= 3);
+ private:
+  int level_;
+  std::vector<flid::slot_summary>& out_;
+};
+
+TEST(ecn, a_marked_packet_keeps_its_group_from_proving_a_key) {
+  // A receiver holding level 3 gets every packet of slot 0, but one group-3
+  // packet carries an ECN mark. Routers forward components unchanged, so
+  // the receiver's own rule is all that keeps the mark from proving tau_3.
+  sim::scheduler sched;
+  sim::network net(sched);
+  const auto edge = net.add_router("edge");
+  const auto host = net.add_host("rx");
+  net.connect(edge, host, sim::link_config{});
+  net.finalize_routing();
+
+  flid::flid_config fc;
+  fc.num_groups = 4;
+  std::vector<flid::slot_summary> seen;
+  flid::flid_receiver receiver(net, host, edge, fc,
+                               std::make_unique<summary_recorder>(3, seen));
+  receiver.start(0);
+  sched.run_until(0);
+
+  delta_layered_sender sender(fc.session_id, fc.num_groups, 64, 9);
+  sender.begin_slot(0, 0, {0, 4, 4, 4, 4});
+  for (int g = 1; g <= fc.num_groups; ++g) {
     for (int i = 0; i < 4; ++i) {
       sim::flid_data hdr;
+      hdr.session_id = fc.session_id;
+      hdr.group_index = g;
+      hdr.packets_in_slot = 4;
       sender.fill_fields(0, g, i, i == 3, hdr);
-      ++rec.received;
-      rec.expected = 4;
-      if (g == 3 && i == 1) {
-        // This component was scrubbed by the router (ECN mark).
-        rec.scrubbed = true;
-        continue;
-      }
-      rec.xor_components ^= hdr.component;
-      if (g >= 2) rec.decrease = hdr.decrease;
+      sim::packet p;
+      p.ecn_marked = (g == 3 && i == 1);
+      p.hdr = hdr;
+      receiver.handle_packet(p, nullptr);
     }
   }
-  s.congested = true;  // scrub is a congestion signal
-  const auto rec = receiver.reconstruct(s);
+  // The first slot-1 packet closes slot 0.
+  sim::flid_data later;
+  later.session_id = fc.session_id;
+  later.group_index = 1;
+  later.slot = 1;
+  sim::packet next;
+  next.hdr = later;
+  receiver.handle_packet(next, nullptr);
+
+  ASSERT_EQ(seen.size(), 1u);
+  const flid::slot_summary& s = seen[0];
+  EXPECT_EQ(s.level, 3);
+  EXPECT_TRUE(s.groups[2].complete());
+  EXPECT_EQ(s.groups[3].received, s.groups[3].expected) << "no packet lost";
+  EXPECT_FALSE(s.groups[3].complete());
+  EXPECT_TRUE(s.congested);
+
+  const delta_reconstruction rec = delta_layered_receiver(4).reconstruct(s);
   EXPECT_EQ(rec.next_level, 2);
   const delta_slot_keys* keys = sender.keys_for(key_lead_slots);
+  ASSERT_NE(keys, nullptr);
   for (const auto& [g, key] : rec.keys) {
+    EXPECT_LT(g, 3);
     EXPECT_NE(key, keys->top[3]);
-    EXPECT_LE(g, 2);
   }
 }
 
 TEST(ecn, droptail_comparison_run_does_not_mark) {
-  auto d = make_ecn_dumbbell(1e6, 3);
-  d->add_flid_session(flid_mode::ds, {receiver_options{}});
-  d->run_until(sim::seconds(20.0));
-  EXPECT_EQ(d->bottleneck()->stats().ecn_marked, 0u);
+  dumbbell_config cfg;
+  cfg.bottleneck_bps = 1e6;
+  cfg.seed = 3;
+  testbed d(dumbbell(cfg));  // drop-tail bottleneck: nothing to mark
+  d.add_flid_session(flid_mode::ds, {receiver_options{}});
+  d.run_until(sim::seconds(20.0));
+  EXPECT_EQ(d.bottleneck()->stats().ecn_marked, 0u);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/time.h"
-#include "util/logging.h"
 #include "util/require.h"
 
 namespace mcc::obs {
@@ -376,36 +375,6 @@ TEST(sweep_obs, profile_block_reports_wall_clock_and_event_totals) {
   EXPECT_NE(json.find("\"profile\": {"), std::string::npos);
   EXPECT_NE(json.find("\"events_executed\""), std::string::npos);
   EXPECT_NE(json.find("\"point_ms\""), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// log-level glue (the --log-level / MCC_LOG_LEVEL satellite)
-// ---------------------------------------------------------------------------
-
-TEST(log_level, names_round_trip) {
-  using util::log_level;
-  for (const log_level l : {log_level::debug, log_level::info, log_level::warn,
-                            log_level::error, log_level::off}) {
-    const auto parsed = util::log_level_from_name(util::log_level_name(l));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, l);
-  }
-  EXPECT_FALSE(util::log_level_from_name("verbose").has_value());
-  EXPECT_FALSE(util::log_level_from_name("WARN").has_value())
-      << "level names are lowercase; the flag glue owns any friendlier UX";
-}
-
-TEST(log_level, log_line_latches_the_threshold_at_construction) {
-  const util::log_level before = util::get_log_level();
-  util::set_log_level(util::log_level::off);
-  {
-    // Constructed while off: raising the threshold mid-statement must not
-    // resurrect the line (it latched "disabled" once).
-    util::log_line line(util::log_level::error);
-    util::set_log_level(util::log_level::debug);
-    line << "never emitted";
-  }
-  util::set_log_level(before);
 }
 
 }  // namespace

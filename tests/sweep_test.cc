@@ -191,7 +191,7 @@ TEST(sweep, seedless_benches_declare_no_seed_and_run_with_base_seed_zero) {
 }
 
 TEST(sweep, malformed_sweep_flag_values_fail_the_parse) {
-  for (const char* bad : {"--seed=2.5", "--jobs=two", "--log-level=verbose"}) {
+  for (const char* bad : {"--seed=2.5", "--jobs=two", "--jobs=0"}) {
     util::flag_set flags("test");
     add_sweep_flags(flags, 7);
     const char* argv[] = {"prog", bad};

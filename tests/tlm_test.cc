@@ -219,6 +219,20 @@ TEST(tlm, cut_off_receiver_counts_cutoff_slots_and_sees_feedback) {
   EXPECT_GT(probe->feedback, 4u * 85u);
 }
 
+TEST(tlm, keyed_receiver_submits_keys_a_keyed_router_accepts) {
+  // Under the section 4.2 countermeasure the router validates
+  // per-interface-perturbed keys, including the increase key it perturbs
+  // itself; the TLM receiver must submit the same perturbed images.
+  auto keyed = std::make_unique<tlm_sigma_strategy>(
+      threshold_config::uniform(10, 0.25, 16));
+  keyed->set_interface_keying(true);
+  tlm_world w(400e3, 0.25, 3, std::move(keyed));
+  w.d->sigma().set_interface_keying(true);
+  w.d->run_until(sim::seconds(60.0));
+  EXPECT_GT(w.d->sigma().stats().valid_keys, 0u);
+  EXPECT_EQ(w.d->sigma().stats().invalid_keys, 0u);
+}
+
 TEST(tlm, sigma_router_needs_no_changes_for_the_new_protocol) {
   // The untouched sigma_router_agent validated TLM keys in-sim: the FLID-DS
   // tests and this file share the same router implementation. Sanity check
